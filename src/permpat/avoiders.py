@@ -9,10 +9,16 @@ Besides plain avoiders of {1..n}, two constrained families are generated:
   length n-b+1 and shifting every value up by b-1.
 
 All streams are emitted in strictly increasing lexicographic order of the
-one-line notation. Generation backtracks over prefixes with a constant-time
-avoidance test: with M1 the prefix maximum and M2 the largest prefix value
-that has a larger value somewhere before it, appending v creates a 321
-occurrence exactly when v < M2.
+one-line notation. An avoider's prefix continues only with the smallest
+unused value or with a value above the prefix maximum: any other value below
+the maximum would form a 321 with the maximum before it and the smaller
+unused value still to come. Both kinds of step keep the prefix extendable,
+so the search has no dead ends, and generation steps from each avoider
+straight to its lexicographic successor, as in the constant-amortized-time
+Catalan generators of Knuth, TAOCP 4A §7.2.1.6. Every value from the
+maximum onwards is forced; the value just before the maximum becomes one
+more than the largest value so far, and the unused values follow in
+increasing order.
 """
 
 from __future__ import annotations
@@ -58,32 +64,23 @@ def _avoiders(m: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
     if m == 0:
         yield ()
         return
-    used = [False] * (m + 1)
-    acc: list[int] = []
-
-    def rec(m1: int, m2: int) -> Iterator[tuple[int, ...]]:
-        if len(acc) == m:
-            yield tuple(acc)
+    a = list(range(1, m + 1))
+    fixed = 0
+    if first is not None:
+        a.remove(first)
+        a.insert(0, first)
+        fixed = 1
+    while True:
+        yield tuple(a)
+        # Positions from that of m onwards hold forced values; the one just
+        # before it takes its next candidate, and the rest restarts smallest.
+        p = a.index(m)
+        if p <= fixed:
             return
-        # Candidates below m2 would complete a 321; start the scan at m2.
-        for v in range(m2 or 1, m + 1):
-            if used[v]:
-                continue
-            used[v] = True
-            acc.append(v)
-            if v > m1:
-                yield from rec(v, m2)
-            else:
-                yield from rec(m1, v)
-            acc.pop()
-            used[v] = False
-
-    if first is None:
-        yield from rec(0, 0)
-    else:
-        used[first] = True
-        acc.append(first)
-        yield from rec(first, 0)
+        v = max(a[:p]) + 1
+        rest = sorted(a[p - 1 :])
+        rest.remove(v)
+        a[p - 1 :] = [v, *rest]
 
 
 def _check_cap(m: int, cap: int, what: str) -> None:

@@ -59,22 +59,30 @@ def validate_decomposition(d: Decomposition) -> None:
     """Raise ConstraintViolation unless every Decomposition invariant holds."""
     if not 2 <= d.b <= d.n - 1:
         raise ConstraintViolation(f"need 2 <= b <= n-1, got b={d.b}, n={d.n}")
-    if d.sigma1.n != d.b:
+    _validate_sigma1(d.b, d.sigma1)
+    _validate_sigma2(d.b, d.n, d.sigma2)
+
+
+def _validate_sigma1(b: int, sigma1: Permutation) -> None:
+    if sigma1.n != b:
         raise ConstraintViolation(
-            f"sigma1 must be a permutation of 1..{d.b}, got length {d.sigma1.n}"
+            f"sigma1 must be a permutation of 1..{b}, got length {sigma1.n}"
         )
-    if d.sigma1.values[-1] == d.b:
-        raise ConstraintViolation(f"sigma1 must not end with b={d.b}")
-    if not is_avoiding_321(d.sigma1):
-        raise ConstraintViolation(f"sigma1 {d.sigma1} contains a 321 occurrence")
-    if d.sigma2.support != frozenset(range(d.b, d.n + 1)):
+    if sigma1.values[-1] == b:
+        raise ConstraintViolation(f"sigma1 must not end with b={b}")
+    if not is_avoiding_321(sigma1):
+        raise ConstraintViolation(f"sigma1 {sigma1} contains a 321 occurrence")
+
+
+def _validate_sigma2(b: int, n: int, sigma2: ValueSequence) -> None:
+    if sigma2.support != frozenset(range(b, n + 1)):
         raise ConstraintViolation(
-            f"sigma2 support must be exactly {{{d.b}..{d.n}}}, got {sorted(d.sigma2.support)}"
+            f"sigma2 support must be exactly {{{b}..{n}}}, got {sorted(sigma2.support)}"
         )
-    if d.sigma2.values[0] == d.b:
-        raise ConstraintViolation(f"sigma2 must not start with b={d.b}")
-    if not is_avoiding_321(d.sigma2):
-        raise ConstraintViolation(f"sigma2 {d.sigma2} contains a 321 occurrence")
+    if sigma2.values[0] == b:
+        raise ConstraintViolation(f"sigma2 must not start with b={b}")
+    if not is_avoiding_321(sigma2):
+        raise ConstraintViolation(f"sigma2 {sigma2} contains a 321 occurrence")
 
 
 def decompose(perm: Permutation) -> Decomposition:
@@ -115,15 +123,17 @@ def compose(d: Decomposition) -> Permutation:
     the output is defensively checked to contain 321 exactly once.
     """
     validate_decomposition(d)
-    s1, s2 = d.sigma1.values, d.sigma2.values
-    a = s1[-1]
-    p = s1.index(d.b)
-    c = s2[0]
-    q = s2.index(d.b)
-    perm = Permutation(
-        s1[:p] + (c,) + s1[p + 1 : -1] + (d.b,) + s2[1:q] + (a,) + s2[q + 1 :]
-    )
+    return _splice(d.b, d.sigma1, d.sigma2.values, d.n)
+
+
+def _splice(b: int, sigma1: Permutation, s2: tuple[int, ...], n: int) -> Permutation:
+    """p1 c p2 b p3 a p4 from validated factors, checked to contain 321 once."""
+    s1 = sigma1.values
+    p = s1.index(b)
+    q = s2.index(b)
+    perm = Permutation(s1[:p] + s2[:1] + s1[p + 1 : -1] + (b,) + s2[1:q] + s1[-1:] + s2[q + 1 :])
     if count_321(perm) != 1:
+        d = Decomposition(b=b, sigma1=sigma1, sigma2=ValueSequence(s2), n=n)
         raise InternalConstraintViolation(
             f"composition of {d} does not contain 321 exactly once"
         )
@@ -131,10 +141,15 @@ def compose(d: Decomposition) -> Permutation:
 
 
 def _noonan_for_b(b: int, n: int, cap: int) -> Iterator[Permutation]:
-    right_factors = [vs.values for vs in enumerate_sigma2(b, n, cap=cap)]
+    # Each factor is validated once here, not once per pair as compose would.
+    right_factors = []
+    for s2 in enumerate_sigma2(b, n, cap=cap):
+        _validate_sigma2(b, n, s2)
+        right_factors.append(s2.values)
     for s1 in enumerate_sigma1(b, cap=cap):
-        for vals in right_factors:
-            yield compose(Decomposition(b=b, sigma1=s1, sigma2=ValueSequence(vals), n=n))
+        _validate_sigma1(b, s1)
+        for s2 in right_factors:
+            yield _splice(b, s1, s2, n)
 
 
 def _noonan_block(args: tuple[int, int, int]) -> list[tuple[int, ...]]:

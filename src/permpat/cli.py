@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .avoiders import (
@@ -36,6 +37,9 @@ from .catalan import (
 from .errors import DomainError
 from .oracle import DEFAULT_ORACLE_CAP, brute_count_exactly_k
 from .perms import PATTERN_321, count_pattern, parse_one_line, parse_value_sequence
+
+
+_BATCH = 1000
 
 
 class UsageError(Exception):
@@ -136,10 +140,13 @@ def _oracle_progress(args: argparse.Namespace) -> Callable[[int, int], None] | N
 
 
 def _print_stream(stream: Iterable[object], progress: bool) -> int:
+    # Batches of _BATCH lines per write; the size divides the progress step.
+    out = sys.stdout
+    lines = map(str, stream)
     emitted = 0
-    for item in stream:
-        print(item)
-        emitted += 1
+    while batch := list(islice(lines, _BATCH)):
+        out.write("\n".join(batch) + "\n")
+        emitted += len(batch)
         if progress and emitted % 100000 == 0:
             print(f"{emitted} items", file=sys.stderr)
     return emitted
@@ -242,6 +249,9 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, and return the process exit status."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Counts are exact integers; noonan --n 8000 already has 4800 digits.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,6 +16,8 @@ All counts are exact Python integers, so nothing overflows.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -206,27 +208,20 @@ def count_321(perm: Permutation) -> int:
     """Number of 321 occurrences, as a sum over the middle position.
 
     For each j the contribution is (#i < j with p_i > p_j) times
-    (#k > j with p_k < p_j). Quadratic time, exact.
+    (#k > j with p_k < p_j). With s the number of smaller values before j,
+    found by bisection in the sorted prefix, the first factor is j - s and,
+    since the values are 1..n, the second is p_j - 1 - s. Exact; the sorted
+    insertions make it quadratic only in memory moves.
 
     >>> count_321(from_one_line([3, 2, 1, 4]))
     1
     """
-    v = perm.values
-    n = len(v)
+    seen: list[int] = []
     total = 0
-    for j in range(n):
-        vj = v[j]
-        left = 0
-        for i in range(j):
-            if v[i] > vj:
-                left += 1
-        if left == 0:
-            continue
-        right = 0
-        for k in range(j + 1, n):
-            if v[k] < vj:
-                right += 1
-        total += left * right
+    for j, vj in enumerate(perm.values):
+        smaller = bisect(seen, vj)
+        seen.insert(smaller, vj)
+        total += (j - smaller) * (vj - 1 - smaller)
     return total
 
 
@@ -250,47 +245,50 @@ class _Fenwick:
         return total
 
 
-def count_321_fenwick(perm: Permutation) -> int:
-    """Same count as count_321 in O(n log n) via prefix-count accumulators."""
-    v = perm.values
+def _left_right_counts(v: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Per position j: #i < j with v_i > v_j, and #k > j with v_k < v_j."""
     n = len(v)
     greater_before = [0] * n
     tree = _Fenwick(n)
     for j in range(n):
         greater_before[j] = j - tree.prefix(v[j])
         tree.add(v[j])
-    total = 0
+    less_after = [0] * n
     tree = _Fenwick(n)
     for j in range(n - 1, -1, -1):
-        total += greater_before[j] * tree.prefix(v[j] - 1)
+        less_after[j] = tree.prefix(v[j] - 1)
         tree.add(v[j])
-    return total
+    return greater_before, less_after
+
+
+def count_321_fenwick(perm: Permutation) -> int:
+    """Same count as count_321 in O(n log n) via prefix-count accumulators."""
+    left, right = _left_right_counts(perm.values)
+    return sum(map(operator.mul, left, right))
 
 
 def find_unique_321(perm: Permutation) -> Occurrence321:
     """The unique 321 occurrence of `perm`, as positions and values.
 
-    Plain triple scan; stops as soon as a second occurrence shows up.
-    Raises NoOccurrence when the count is 0 and MultipleOccurrences when
-    it is at least 2.
+    The per-position counts of count_321_fenwick give the total in
+    O(n log n). When it is 1, the middle position j is the only one with a
+    larger value before it and a smaller value after it, and i and k are
+    found by one linear scan on each side. Raises NoOccurrence when the
+    count is 0 and MultipleOccurrences when it is at least 2.
 
     >>> find_unique_321(from_one_line([3, 2, 1, 4]))
     Occurrence321(positions=(1, 2, 3), values=(3, 2, 1))
     """
     v = perm.values
-    n = len(v)
-    found: Occurrence321 | None = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[j] >= v[i]:
-                continue
-            for k in range(j + 1, n):
-                if v[k] < v[j]:
-                    if found is not None:
-                        raise MultipleOccurrences(
-                            f"{perm} contains more than one 321 occurrence"
-                        )
-                    found = Occurrence321((i + 1, j + 1, k + 1), (v[i], v[j], v[k]))
-    if found is None:
+    left, right = _left_right_counts(v)
+    products = list(map(operator.mul, left, right))
+    total = sum(products)
+    if total == 0:
         raise NoOccurrence(f"{perm} contains no 321 occurrence")
-    return found
+    if total > 1:
+        raise MultipleOccurrences(f"{perm} contains more than one 321 occurrence")
+    j = products.index(1)
+    b = v[j]
+    i = next(i for i in range(j) if v[i] > b)
+    k = next(k for k in range(j + 1, len(v)) if v[k] < b)
+    return Occurrence321((i + 1, j + 1, k + 1), (v[i], b, v[k]))

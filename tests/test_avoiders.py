@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permpat.avoiders import (
+    _avoiders,
     enumerate_avoiders,
     enumerate_sigma1,
     enumerate_sigma2,
@@ -99,6 +100,13 @@ def test_avoiders_cap():
         next(enumerate_avoiders(-1))
 
 
+def test_first_value_blocks_concatenate_to_the_full_stream():
+    # --threads splits the stream by first value; the blocks must tile it.
+    for m in range(1, 10):
+        blocks = [vals for f in range(1, m + 1) for vals in _avoiders(m, f)]
+        assert blocks == list(_avoiders(m))
+
+
 def test_avoiders_threads_do_not_change_the_stream():
     for n in (0, 1, 5):
         assert one_line(enumerate_avoiders(n, threads=3)) == one_line(enumerate_avoiders(n))
@@ -137,7 +145,8 @@ def test_sigma1_rejects_small_b_and_cap():
 
 
 def test_sigma1_threads_do_not_change_the_stream():
-    assert one_line(enumerate_sigma1(6, threads=3)) == one_line(enumerate_sigma1(6))
+    for b in (6, 9):
+        assert one_line(enumerate_sigma1(b, threads=3)) == one_line(enumerate_sigma1(b))
 
 
 # --- enumerate_sigma2 ---------------------------------------------------
@@ -171,4 +180,5 @@ def test_sigma2_rejects_bad_ranges():
 
 
 def test_sigma2_threads_do_not_change_the_stream():
-    assert one_line(enumerate_sigma2(3, 9, threads=3)) == one_line(enumerate_sigma2(3, 9))
+    for b, n in ((3, 9), (2, 10)):
+        assert one_line(enumerate_sigma2(b, n, threads=3)) == one_line(enumerate_sigma2(b, n))

@@ -1,5 +1,7 @@
 import pytest
 
+from permpat.avoiders import enumerate_avoiders
+from permpat.catalan import noonan_closed
 from permpat.cli import run
 from permpat.oracle import brute_noonan_set
 
@@ -54,6 +56,21 @@ def test_enumerate_families(invoke):
     assert out == "3 2 4\n3 4 2\n4 2 3\n"
     code, out, _ = invoke("enumerate", "--family", "noonan", "--n", "4")
     assert out == "3 2 1 4\n3 2 4 1\n4 2 1 3\n1 4 3 2\n2 4 3 1\n4 1 3 2\n"
+
+
+def test_noonan_prints_counts_beyond_the_default_digit_limit(invoke):
+    # noonan(8000) has more digits than Python's default int-to-str limit.
+    code, out, err = invoke("noonan", "--n", "8000")
+    assert (code, err) == (0, "")
+    assert out == f"{noonan_closed(8000)}\n"
+    assert len(out) > 4301
+
+
+def test_enumerate_output_spans_write_batches(invoke):
+    code, out, err = invoke("enumerate", "--family", "avoiders", "--n", "12", "--progress")
+    assert code == 0
+    assert out == "".join(f"{p}\n" for p in enumerate_avoiders(12))
+    assert err == "100000 items\n200000 items\n"
 
 
 def test_decompose(invoke):

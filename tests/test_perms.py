@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -204,3 +205,86 @@ def test_find_unique_succeeds_exactly_when_count_is_one():
             else:
                 with pytest.raises(NoUnique321):
                     find_unique_321(p)
+
+
+def triple_scan(values):
+    """All 321 occurrences as 0-based position triples, by brute force."""
+    return [
+        (i, j, k)
+        for i, j, k in itertools.combinations(range(len(values)), 3)
+        if values[i] > values[j] > values[k]
+    ]
+
+
+def check_against_triple_scan(values):
+    found = triple_scan(values)
+    p = Permutation(tuple(values))
+    if not found:
+        with pytest.raises(NoOccurrence):
+            find_unique_321(p)
+    elif len(found) > 1:
+        with pytest.raises(MultipleOccurrences):
+            find_unique_321(p)
+    else:
+        i, j, k = found[0]
+        assert find_unique_321(p) == Occurrence321(
+            (i + 1, j + 1, k + 1), (values[i], values[j], values[k])
+        )
+
+
+def test_find_unique_matches_triple_scan_exhaustively():
+    for n in range(8):
+        for vals in itertools.permutations(range(1, n + 1)):
+            check_against_triple_scan(vals)
+
+
+def two_run_avoider(rng, m):
+    """A random merge of two increasing runs; no 321 fits in two runs."""
+    high = set(rng.sample(range(1, m + 1), rng.randint(0, m)))
+    slots = set(rng.sample(range(m), len(high)))
+    high_values = iter(sorted(high))
+    low_values = iter(sorted(set(range(1, m + 1)) - high))
+    return [next(high_values) if pos in slots else next(low_values) for pos in range(m)]
+
+
+def planted_one_321(rng, n):
+    """p1 c p2 b p3 a p4 built from two random avoiders, as in compose."""
+    b = rng.randint(2, n - 1)
+    while (left := two_run_avoider(rng, b))[-1] == b:
+        pass
+    while (right := two_run_avoider(rng, n - b + 1))[0] == 1:
+        pass
+    right = [v + b - 1 for v in right]
+    p, q = left.index(b), right.index(b)
+    return left[:p] + right[:1] + left[p + 1 : -1] + [b] + right[1:q] + left[-1:] + right[q + 1 :]
+
+
+def test_find_unique_matches_triple_scan_on_planted_inputs():
+    rng = random.Random(2011)
+    for _ in range(200):
+        n = rng.randint(3, 40)
+        values = planted_one_321(rng, n)
+        assert len(triple_scan(values)) == 1
+        check_against_triple_scan(values)
+        # a random adjacent swap gives inputs with zero, one or several occurrences
+        t = rng.randrange(n - 1)
+        values[t], values[t + 1] = values[t + 1], values[t]
+        check_against_triple_scan(values)
+
+
+def test_find_unique_is_fast_on_a_large_one_321_input():
+    # Both factors are two decreasing blocks: about n^2/8 inversions, on
+    # which the former triple scan took about 15 s on a 2-vCPU Xeon VM.
+    n, b = 2000, 1000
+    half = b // 2
+    left = list(range(half + 1, b + 1)) + list(range(1, half + 1))
+    m = n - b + 1
+    right = [v + b - 1 for v in list(range(m // 2 + 1, m + 1)) + list(range(1, m // 2 + 1))]
+    p, q = left.index(b), right.index(b)
+    values = left[:p] + right[:1] + left[p + 1 : -1] + [b] + right[1:q] + left[-1:] + right[q + 1 :]
+    perm = Permutation(tuple(values))
+    start = time.perf_counter()
+    occ = find_unique_321(perm)
+    elapsed = time.perf_counter() - start
+    assert occ.values == (right[0], b, left[-1])
+    assert elapsed < 1.0

@@ -23,8 +23,7 @@ increasing order.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import CapExceeded, InvalidB, InvalidRange
 from .perms import Permutation, ValueSequence
@@ -92,6 +91,8 @@ def _check_cap(m: int, cap: int, what: str) -> None:
 
 def _pool_blocks(worker, jobs, threads):
     """Run `worker` over `jobs` in a process pool, yielding results in order."""
+    import multiprocessing
+
     with multiprocessing.Pool(min(threads, len(jobs))) as pool:
         yield from pool.imap(worker, jobs)
 
@@ -182,13 +183,15 @@ def enumerate_sigma2(
 def _iter_sigma2(b: int, n: int, threads: int) -> Iterator[ValueSequence]:
     m = n - b + 1
     shift = b - 1
+    # An avoider starting with 1 shifts to a sequence starting with b, so
+    # only the first values 2..m are generated.
+    firsts = range(2, m + 1)
     if threads > 1:
-        # An avoider starting with 1 shifts to a sequence starting with b.
-        jobs = [(b, n, f) for f in range(2, m + 1)]
+        jobs = [(b, n, f) for f in firsts]
         for block in _pool_blocks(_sigma2_block, jobs, threads):
             for vals in block:
                 yield ValueSequence(vals)
     else:
-        for vals in _avoiders(m):
-            if vals[0] != 1:
+        for f in firsts:
+            for vals in _avoiders(m, f):
                 yield ValueSequence(tuple(v + shift for v in vals))

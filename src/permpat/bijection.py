@@ -16,9 +16,7 @@ compose() inverts and enumerate_noonan() exploits.
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .avoiders import DEFAULT_CAP, enumerate_sigma1, enumerate_sigma2, is_avoiding_321
 from .errors import (
@@ -30,6 +28,7 @@ from .errors import (
 from .perms import (
     Permutation,
     ValueSequence,
+    _Frozen,
     count_321,
     find_unique_321,
     parse_one_line,
@@ -37,8 +36,7 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Frozen):
     """The triple (b, sigma1, sigma2) for a permutation of length n.
 
     b is the middle value of the unique 321 occurrence; it is shared by
@@ -46,10 +44,17 @@ class Decomposition:
     so len(sigma1) = b and len(sigma2) = n - b + 1.
     """
 
+    __slots__ = ("b", "sigma1", "sigma2", "n")
     b: int
     sigma1: Permutation
     sigma2: ValueSequence
     n: int
+
+    def __init__(self, b: int, sigma1: Permutation, sigma2: ValueSequence, n: int) -> None:
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "sigma1", sigma1)
+        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "n", n)
 
     def __str__(self) -> str:
         return format_decomposition(self)
@@ -179,6 +184,8 @@ def _iter_noonan(n: int, cap: int, threads: int) -> Iterator[Permutation]:
         return
     bs = range(2, n)
     if threads > 1:
+        import multiprocessing
+
         jobs = [(b, n, cap) for b in bs]
         with multiprocessing.Pool(min(threads, len(jobs))) as pool:
             for block in pool.imap(_noonan_block, jobs):

@@ -9,8 +9,7 @@ counter only, so that a bug elsewhere cannot confirm itself here.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import CapExceeded, InvalidRange
 from .perms import PATTERN_321, Permutation, count_occurrences
@@ -63,6 +62,8 @@ def brute_count_exactly_k(
     jobs = [(n, first, pattern.values, k) for first in range(1, n + 1)]
     total = 0
     if threads > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(min(threads, len(jobs))) as pool:
             for done, part in enumerate(pool.imap(_count_block, jobs), start=1):
                 total += part

@@ -18,14 +18,49 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import MultipleOccurrences, NoOccurrence, NotAPermutation
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Frozen:
+    """Immutable value object over __slots__, compared field by field.
+
+    Subclasses name their fields in __slots__ and set them once in __init__
+    through object.__setattr__. Equality and hash are those of the field
+    tuple, restricted to the same class; the repr lists the fields as
+    keyword arguments. Pickling and copying rebuild through __init__, so a
+    payload is validated again on the way in.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._fields())
+
+
+class Permutation(_Frozen):
     """A permutation of {1..n} in one-line notation.
 
     >>> Permutation((3, 1, 2)).n
@@ -34,18 +69,18 @@ class Permutation:
     '3 1 2'
     """
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        n = len(self.values)
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(values)
+        n = len(values)
         seen = [False] * (n + 1)
-        for v in self.values:
+        for v in values:
             if not isinstance(v, int) or v < 1 or v > n or seen[v]:
-                raise NotAPermutation(
-                    f"{list(self.values)} is not a permutation of 1..{n}"
-                )
+                raise NotAPermutation(f"{list(values)} is not a permutation of 1..{n}")
             seen[v] = True
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -58,25 +93,26 @@ class Permutation:
         return " ".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class ValueSequence:
+class ValueSequence(_Frozen):
     """A sequence of distinct positive integers over an arbitrary value set.
 
     Unlike Permutation, the support need not be 1..n; it can be any set of
     distinct positive values (e.g. a rearrangement of {b..n}).
     """
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(values)
         seen = set()
-        for v in self.values:
+        for v in values:
             if not isinstance(v, int) or v < 1 or v in seen:
                 raise NotAPermutation(
-                    f"{list(self.values)} is not a sequence of distinct positive integers"
+                    f"{list(values)} is not a sequence of distinct positive integers"
                 )
             seen.add(v)
+        object.__setattr__(self, "values", values)
 
     @property
     def support(self) -> frozenset[int]:
@@ -89,23 +125,25 @@ class ValueSequence:
         return " ".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class Occurrence321:
+class Occurrence321(_Frozen):
     """Positions (i, j, k) and values (c, b, a) of one 321 occurrence.
 
     Positions are 1-based and strictly increasing; values satisfy c > b > a.
     """
 
+    __slots__ = ("positions", "values")
     positions: tuple[int, int, int]
     values: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        i, j, k = self.positions
-        c, b, a = self.values
+    def __init__(self, positions: tuple[int, int, int], values: tuple[int, int, int]) -> None:
+        i, j, k = positions
+        c, b, a = values
         if not (1 <= i < j < k):
-            raise ValueError(f"positions {self.positions} not strictly increasing")
+            raise ValueError(f"positions {positions} not strictly increasing")
         if not (c > b > a >= 1):
-            raise ValueError(f"values {self.values} not strictly decreasing")
+            raise ValueError(f"values {values} not strictly decreasing")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "values", values)
 
 
 def from_one_line(raw: Iterable[int]) -> Permutation:

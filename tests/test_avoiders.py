@@ -171,6 +171,18 @@ def test_sigma2_counts_and_constraints():
                 assert is_avoiding_321(vals)
 
 
+def test_sigma2_is_the_filtered_avoider_stream():
+    # The stream skips the avoiders starting with 1 instead of discarding them.
+    for n in range(3, 11):
+        for b in range(2, n):
+            filtered = [
+                tuple(v + b - 1 for v in vals)
+                for vals in _avoiders(n - b + 1)
+                if vals[0] != 1
+            ]
+            assert [s.values for s in enumerate_sigma2(b, n)] == filtered
+
+
 def test_sigma2_rejects_bad_ranges():
     for b, n in ((1, 4), (4, 4), (5, 4), (0, 3)):
         with pytest.raises(InvalidRange):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from permpat.errors import (
     CapExceeded,
     ConstraintViolation,
     InternalConstraintViolation,
+    NotAPermutation,
     NoUnique321,
 )
 from permpat.oracle import brute_noonan_set
@@ -47,6 +51,48 @@ def all_decompositions(n):
         for s1 in enumerate_sigma1(b):
             for s2 in enumerate_sigma2(b, n):
                 yield Decomposition(b=b, sigma1=s1, sigma2=s2, n=n)
+
+
+# --- Decomposition as a value ------------------------------------------
+
+
+def test_decomposition_compares_and_hashes_by_field():
+    d = decomp(2, (2, 1), (3, 2, 4), 4)
+    same = decomp(2, [2, 1], [3, 2, 4], 4)
+    assert d == same and hash(d) == hash(same)
+    assert d != decomp(2, (2, 1), (3, 4, 2), 4)
+    assert d != decomp(2, (2, 1), (3, 2, 4), 5)
+    plain = (2, Permutation((2, 1)), ValueSequence((3, 2, 4)), 4)
+    assert d != plain and plain != d
+    assert len({d, same}) == 1
+
+
+def test_decomposition_repr():
+    assert repr(decomp(2, (2, 1), (3, 2, 4), 4)) == (
+        "Decomposition(b=2, sigma1=Permutation(values=(2, 1)), "
+        "sigma2=ValueSequence(values=(3, 2, 4)), n=4)"
+    )
+
+
+def test_decomposition_is_immutable():
+    d = decomp(2, (2, 1), (3, 2, 4), 4)
+    with pytest.raises(AttributeError):
+        d.b = 3
+    with pytest.raises(AttributeError):
+        del d.n
+
+
+def test_decomposition_pickles_and_copies_with_validation():
+    d = decomp(2, (2, 1), (3, 2, 4), 4)
+    for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert clone == d
+        assert compose(clone) == compose(d)
+    # sigma1 (2, 1) tampered to (2, 2): its Permutation is rebuilt and rejected.
+    data = pickle.dumps(d, protocol=4)
+    tampered = data.replace(b"K\x02K\x01", b"K\x02K\x02")
+    assert tampered != data
+    with pytest.raises(NotAPermutation):
+        pickle.loads(tampered)
 
 
 # --- decompose ----------------------------------------------------------

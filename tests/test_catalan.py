@@ -48,6 +48,19 @@ def test_catalan_table_matches_closed_form():
     assert all(table[n] == catalan(n) for n in range(301))
 
 
+def test_half_sums_match_the_full_sums():
+    # The table and the convolution sum half the products by symmetry;
+    # these are the plain sums over every term, odd and even lengths alike.
+    full = [1]
+    for m in range(1, 301):
+        full.append(sum(full[i] * full[m - 1 - i] for i in range(m)))
+    assert catalan_table(300) == tuple(full)
+    for n in range(3, 300):
+        assert noonan_convolution(n) == sum(
+            (full[b] - full[b - 1]) * (full[n - b + 1] - full[n - b]) for b in range(2, n)
+        )
+
+
 def test_negative_arguments_rejected():
     for fn in (catalan, catalan_table):
         with pytest.raises(InvalidRange):

@@ -1,9 +1,20 @@
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from permpat.avoiders import enumerate_avoiders
 from permpat.catalan import noonan_closed
 from permpat.cli import run
 from permpat.oracle import brute_noonan_set
+from permpat.perms import count_occurrences
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -23,6 +34,55 @@ def test_count(invoke):
     assert invoke("count", "--perm", "1 2 3") == (0, "0\n", "")
     assert invoke("count", "--perm", "4 3 2 1") == (0, "4\n", "")
     assert invoke("count", "--perm", "2 4 1 3", "--pattern", "2 1") == (0, "3\n", "")
+
+
+@pytest.mark.parametrize("pattern", [None, "2 1 3"])
+def test_count_matches_the_naive_counter(invoke, pattern):
+    # Pattern 321 is answered by the Fenwick counter, others by the generic one.
+    rng = random.Random(3000 if pattern is None else 213)
+    flag = [] if pattern is None else ["--pattern", pattern]
+    values = (3, 2, 1) if pattern is None else (2, 1, 3)
+    for _ in range(200):
+        vals = list(range(1, rng.randint(0, 60) + 1))
+        rng.shuffle(vals)
+        code, out, err = invoke("count", "--perm", " ".join(map(str, vals)), *flag)
+        assert (code, err) == (0, "")
+        assert out == f"{count_occurrences(vals, values)}\n"
+
+
+def test_count_321_is_fast_at_n_3000(invoke):
+    vals = list(range(1, 3001))
+    random.Random(3).shuffle(vals)
+    text = " ".join(map(str, vals))
+
+    # The generic counter would run for hours here; the alarm makes it fail.
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        start = time.perf_counter()
+        code, out, _ = invoke("count", "--perm", text)
+        elapsed = time.perf_counter() - start
+    except TimeoutError:
+        pytest.fail("count at n = 3000 ran past 10 s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and int(out) > 0
+    assert elapsed < 1.0, f"count at n = 3000 took {elapsed:.2f} s"
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # -S keeps site and any .pth file from importing these on their own.
+    heavy = ("dataclasses", "inspect", "typing", "multiprocessing")
+    code = f"import sys, permpat.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_noonan_default_method(invoke):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -81,6 +83,63 @@ def test_occurrence_triple_is_checked():
         Occurrence321((2, 1, 3), (3, 2, 1))
     with pytest.raises(ValueError):
         Occurrence321((1, 2, 3), (1, 2, 3))
+
+
+# --- value classes ------------------------------------------------------
+
+VALUE_OBJECTS = [
+    (Permutation((3, 1, 2)), Permutation([3, 1, 2]), Permutation((1, 2, 3)), (3, 1, 2)),
+    (ValueSequence((5, 3, 9)), ValueSequence([5, 3, 9]), ValueSequence((3, 5, 9)), (5, 3, 9)),
+    (
+        Occurrence321((1, 2, 3), (3, 2, 1)),
+        Occurrence321(positions=(1, 2, 3), values=(3, 2, 1)),
+        Occurrence321((1, 2, 4), (3, 2, 1)),
+        ((1, 2, 3), (3, 2, 1)),
+    ),
+]
+
+
+@pytest.mark.parametrize("obj, equal, unequal, plain", VALUE_OBJECTS)
+def test_value_objects_compare_and_hash_by_field(obj, equal, unequal, plain):
+    assert obj == equal and not obj != equal
+    assert hash(obj) == hash(equal)
+    assert obj != unequal
+    assert obj != plain and plain != obj
+    assert len({obj, equal, unequal}) == 2
+
+
+def test_value_object_reprs():
+    assert repr(Permutation((3, 1, 2))) == "Permutation(values=(3, 1, 2))"
+    assert repr(ValueSequence((5, 3, 9))) == "ValueSequence(values=(5, 3, 9))"
+    assert repr(Occurrence321((1, 2, 3), (3, 2, 1))) == (
+        "Occurrence321(positions=(1, 2, 3), values=(3, 2, 1))"
+    )
+
+
+@pytest.mark.parametrize("obj", [row[0] for row in VALUE_OBJECTS])
+def test_value_objects_are_immutable(obj):
+    with pytest.raises(AttributeError):
+        obj.values = (1,)
+    with pytest.raises(AttributeError):
+        del obj.values
+    with pytest.raises(AttributeError):
+        obj.other = 1
+
+
+@pytest.mark.parametrize("obj", [row[0] for row in VALUE_OBJECTS])
+def test_value_objects_pickle_and_copy(obj):
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+        assert type(clone) is type(obj)
+        assert clone == obj
+
+
+def test_unpickling_revalidates():
+    data = pickle.dumps(Permutation((1, 2)), protocol=4)
+    # BININT1 opcodes: (1, 2) becomes (1, 1).
+    tampered = data.replace(b"K\x02", b"K\x01")
+    assert tampered != data
+    with pytest.raises(NotAPermutation):
+        pickle.loads(tampered)
 
 
 def test_standardize():

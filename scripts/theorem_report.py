@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Full verification run: count one-321 permutations every way the package can.
 
-For each n up to --max-oracle the count is computed five ways and compared:
+For each n up to --max-oracle the count is computed six ways and compared:
 
   oracle       brute force over all n! permutations, naive counter only
+  pruned       exhaustive prefix search that drops prefixes past one 321
   bijection    enumerate (b, sigma1, sigma2) triples and compose each one
   closed       (3/n) * binom(2n, n+3)
   catalan      C_{n+2} - 4 C_{n+1} + 3 C_n from the recurrence-built table
@@ -28,6 +29,7 @@ from permpat import (
     noonan_catalan_form,
     noonan_closed,
     noonan_convolution,
+    pruned_count_exactly_k,
 )
 
 
@@ -41,21 +43,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     failures = 0
-    print(f"{'n':>4} {'oracle':>12} {'bijection':>12} {'closed':>12} "
+    print(f"{'n':>4} {'oracle':>12} {'pruned':>12} {'bijection':>12} {'closed':>12} "
           f"{'catalan':>12} {'convolution':>12}")
     for n in range(3, args.max_oracle + 1):
         t0 = time.perf_counter()
         oracle = brute_count_exactly_k(n, PATTERN_321, 1, cap=max(10, n),
                                        threads=args.threads)
+        pruned = pruned_count_exactly_k(n, PATTERN_321, 1, cap=max(10, n),
+                                        threads=args.threads)
         bij = sum(1 for _ in enumerate_noonan(n, threads=args.threads))
         closed = noonan_closed(n)
         cat = noonan_catalan_form(n)
         conv = noonan_convolution(n)
-        ok = oracle == bij == closed == cat == conv
+        ok = oracle == pruned == bij == closed == cat == conv
         if not ok:
             failures += 1
         mark = "" if ok else "   <-- MISMATCH"
-        print(f"{n:>4} {oracle:>12} {bij:>12} {closed:>12} {cat:>12} {conv:>12}"
+        print(f"{n:>4} {oracle:>12} {pruned:>12} {bij:>12} {closed:>12} {cat:>12} {conv:>12}"
               f"{mark}   [{time.perf_counter() - t0:.1f}s]")
 
     t0 = time.perf_counter()

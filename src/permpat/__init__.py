@@ -3,8 +3,9 @@
 The package provides validated permutation types, exact pattern counting,
 generation of 321-avoiding families, the decomposition pairing one-321
 permutations with constrained avoider pairs, exact Catalan arithmetic for
-the resulting count identities, and a brute-force oracle that checks all of
-it from first principles.
+the resulting count identities, and an exhaustive oracle (a pruned search,
+checked against a naive n! scan) that checks all of it from first
+principles.
 """
 
 from .avoiders import (
@@ -44,7 +45,6 @@ from .errors import (
     NotAPermutation,
     NoUnique321,
 )
-from .oracle import DEFAULT_ORACLE_CAP, brute_count_exactly_k, brute_noonan_set
 from .perms import (
     PATTERN_321,
     Occurrence321,
@@ -62,6 +62,21 @@ from .perms import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle loads on first use: of the CLI commands, each a fresh process,
+# only the two oracle ones need it.
+_ORACLE_NAMES = frozenset(
+    ("DEFAULT_ORACLE_CAP", "brute_count_exactly_k", "brute_noonan_set", "pruned_count_exactly_k")
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CapExceeded",
@@ -107,6 +122,7 @@ __all__ = [
     "parse_decomposition",
     "parse_one_line",
     "parse_value_sequence",
+    "pruned_count_exactly_k",
     "standardize",
     "validate_decomposition",
 ]

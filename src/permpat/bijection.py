@@ -188,9 +188,9 @@ def _iter_noonan(n: int, cap: int, threads: int) -> Iterator[Permutation]:
 
         jobs = [(b, n, cap) for b in bs]
         with multiprocessing.Pool(min(threads, len(jobs))) as pool:
+            # Workers built and checked each item in _splice; wrap, don't re-check.
             for block in pool.imap(_noonan_block, jobs):
-                for vals in block:
-                    yield Permutation(vals)
+                yield from map(Permutation._trusted, block)
     else:
         for b in bs:
             yield from _noonan_for_b(b, n, cap)

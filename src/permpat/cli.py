@@ -35,7 +35,6 @@ from .catalan import (
     noonan_convolution,
 )
 from .errors import DomainError
-from .oracle import DEFAULT_ORACLE_CAP, brute_count_exactly_k
 from .perms import (
     PATTERN_321,
     count_321_fenwick,
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", required=True)
     p.set_defaults(handler=_cmd_compose)
 
-    p = sub.add_parser("oracle", help="brute-force count of n-permutations with exactly k 321s")
+    p = sub.add_parser("oracle", help="exhaustive count of n-permutations with exactly k 321s")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     _add_work_flags(p)
@@ -134,10 +133,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _oracle_cap(args: argparse.Namespace) -> int:
+    from .oracle import DEFAULT_ORACLE_CAP
+
     cap = args.cap if args.cap is not None else DEFAULT_ORACLE_CAP
     if args.n > DEFAULT_ORACLE_CAP and cap > DEFAULT_ORACLE_CAP:
         print(
-            f"warning: brute force over {args.n}! permutations may take many minutes",
+            f"warning: exhaustive search at n = {args.n}: its time grows about 5x per "
+            f"step of n past 10 (seconds at n = 10, many minutes from n = 13)",
             file=sys.stderr,
         )
     return cap
@@ -147,6 +149,21 @@ def _oracle_progress(args: argparse.Namespace) -> Callable[[int, int], None] | N
     if not args.progress:
         return None
     return lambda done, total: print(f"{done}/{total} first values done", file=sys.stderr)
+
+
+def _oracle_count(args: argparse.Namespace, k: int) -> int:
+    # Imported on use: each CLI call is a fresh process, and only the two
+    # oracle commands need this module.
+    from .oracle import pruned_count_exactly_k
+
+    return pruned_count_exactly_k(
+        args.n,
+        PATTERN_321,
+        k,
+        cap=_oracle_cap(args),
+        threads=args.threads,
+        progress=_oracle_progress(args),
+    )
 
 
 def _print_stream(stream: Iterable[object], progress: bool) -> int:
@@ -170,14 +187,7 @@ def _cmd_noonan(args: argparse.Namespace) -> int:
     elif args.method == "convolution":
         value = noonan_convolution(args.n)
     elif args.method == "oracle":
-        value = brute_count_exactly_k(
-            args.n,
-            PATTERN_321,
-            1,
-            cap=_oracle_cap(args),
-            threads=args.threads,
-            progress=_oracle_progress(args),
-        )
+        value = _oracle_count(args, 1)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_CAP
         value = sum(1 for _ in enumerate_noonan(args.n, cap=cap, threads=args.threads))
@@ -235,15 +245,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    value = brute_count_exactly_k(
-        args.n,
-        PATTERN_321,
-        args.k,
-        cap=_oracle_cap(args),
-        threads=args.threads,
-        progress=_oracle_progress(args),
-    )
-    print(value)
+    print(_oracle_count(args, args.k))
     return 0
 
 

@@ -82,6 +82,13 @@ class Permutation(_Frozen):
             seen[v] = True
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> Permutation:
+        """Wrap a tuple already known to be a permutation of 1..n, unchecked."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "values", values)
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.values)

@@ -18,7 +18,7 @@ from permpat.catalan import (
     noonan_convolution,
 )
 from permpat.cli import run
-from permpat.oracle import brute_count_exactly_k, brute_noonan_set
+from permpat.oracle import brute_count_exactly_k, brute_noonan_set, pruned_count_exactly_k
 from permpat.perms import PATTERN_321, Permutation, count_321, count_pattern
 
 
@@ -41,6 +41,22 @@ def test_criterion_1_theorem_end_to_end():
         "criterion 1 (theorem end-to-end, n=3..9)",
         not mismatches and elapsed < 120.0,
         f"mismatches={mismatches}, {elapsed:.1f}s of 120s",
+    )
+
+
+def test_pruned_oracle_confirms_the_closed_form_to_n_10():
+    # criterion 1 carried one step past the naive scan's reach
+    start = time.perf_counter()
+    mismatches = [
+        (n, got)
+        for n in range(3, 11)
+        if (got := pruned_count_exactly_k(n, PATTERN_321, 1)) != noonan_closed(n)
+    ]
+    elapsed = time.perf_counter() - start
+    _report(
+        "pruned oracle vs. closed form, n=3..10",
+        not mismatches and elapsed < 30.0,
+        f"mismatches={mismatches}, {elapsed:.1f}s of 30s",
     )
 
 

@@ -76,7 +76,7 @@ def test_count_321_is_fast_at_n_3000(invoke):
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     # -S keeps site and any .pth file from importing these on their own.
-    heavy = ("dataclasses", "inspect", "typing", "multiprocessing")
+    heavy = ("dataclasses", "inspect", "typing", "multiprocessing", "permpat.oracle")
     code = f"import sys, permpat.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(

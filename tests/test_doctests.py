@@ -6,7 +6,7 @@ import pytest
 
 @pytest.mark.parametrize(
     "name",
-    ["permpat.perms", "permpat.catalan", "permpat.avoiders", "permpat.bijection"],
+    ["permpat.perms", "permpat.catalan", "permpat.avoiders", "permpat.bijection", "permpat.oracle"],
 )
 def test_module_doctests(name):
     # resolved via import_module because the package re-exports a function

@@ -1,14 +1,25 @@
 import ast
 import inspect
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
 import permpat.oracle
 from permpat.catalan import catalan
 from permpat.errors import CapExceeded, InvalidRange
-from permpat.oracle import brute_count_exactly_k, brute_noonan_set
-from permpat.perms import PATTERN_321, Permutation
+from permpat.oracle import brute_count_exactly_k, brute_noonan_set, pruned_count_exactly_k
+from permpat.perms import PATTERN_321, Permutation, count_occurrences
+
+CROSS_CHECK_PATTERNS = [
+    (1,),
+    (1, 2),
+    (2, 1),
+    *itertools.permutations((1, 2, 3)),
+    (2, 4, 1, 3),
+    (1, 3, 4, 2),
+]
 
 
 def test_exactly_k_examples():
@@ -42,9 +53,22 @@ def test_other_patterns_are_supported():
 
 
 def test_degenerate_sizes():
-    assert brute_count_exactly_k(0, PATTERN_321, 0) == 1
-    assert brute_count_exactly_k(0, PATTERN_321, 1) == 0
-    assert brute_count_exactly_k(1, PATTERN_321, 0) == 1
+    empty = Permutation(())
+    one = Permutation((1,))
+    for count in (brute_count_exactly_k, pruned_count_exactly_k):
+        # n = 0, and the empty pattern, which occurs once in every sequence
+        assert count(0, PATTERN_321, 0) == 1
+        assert count(0, PATTERN_321, 1) == 0
+        assert count(0, empty, 1) == 1
+        assert count(4, empty, 1) == 24
+        assert count(4, empty, 0) == 0
+        # n below the pattern length: nothing occurs
+        assert count(1, PATTERN_321, 0) == 1
+        assert count(2, PATTERN_321, 0) == 2
+        assert count(2, PATTERN_321, 1) == 0
+        # a length-1 pattern occurs once per position
+        assert count(5, one, 5) == 120
+        assert count(5, one, 4) == 0
 
 
 def test_noonan_set_examples():
@@ -68,17 +92,18 @@ def test_noonan_set_is_lexicographic():
 
 
 def test_caps_and_ranges():
-    with pytest.raises(CapExceeded):
-        brute_count_exactly_k(11, PATTERN_321, 1)
-    with pytest.raises(CapExceeded):
-        brute_count_exactly_k(5, PATTERN_321, 1, cap=4)
-    assert brute_count_exactly_k(5, PATTERN_321, 1, cap=5) == 27
+    for count in (brute_count_exactly_k, pruned_count_exactly_k):
+        with pytest.raises(CapExceeded, match="over 11! permutations exceeds the cap 10"):
+            count(11, PATTERN_321, 1)
+        with pytest.raises(CapExceeded, match="exceeds the cap 4"):
+            count(5, PATTERN_321, 1, cap=4)
+        assert count(5, PATTERN_321, 1, cap=5) == 27
+        with pytest.raises(InvalidRange, match="need n >= 0, got -1"):
+            count(-1, PATTERN_321, 0)
+        with pytest.raises(InvalidRange, match="need k >= 0, got -1"):
+            count(3, PATTERN_321, -1)
     with pytest.raises(CapExceeded):
         brute_noonan_set(11)
-    with pytest.raises(InvalidRange):
-        brute_count_exactly_k(-1, PATTERN_321, 0)
-    with pytest.raises(InvalidRange):
-        brute_count_exactly_k(3, PATTERN_321, -1)
 
 
 def test_threads_do_not_change_the_count():
@@ -86,33 +111,56 @@ def test_threads_do_not_change_the_count():
         assert brute_count_exactly_k(6, PATTERN_321, k, threads=3) == brute_count_exactly_k(
             6, PATTERN_321, k
         )
+    cases = [(PATTERN_321, 0), (PATTERN_321, 1), (PATTERN_321, 3), (Permutation((2, 4, 1, 3)), 2)]
+    for pattern, k in cases:
+        pooled = pruned_count_exactly_k(7, pattern, k, threads=3)
+        assert pooled == pruned_count_exactly_k(7, pattern, k), (pattern, k)
 
 
 def test_progress_callback_runs_once_per_first_value():
-    seen = []
-    brute_count_exactly_k(5, PATTERN_321, 1, progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
+    runs = [(brute_count_exactly_k, 1), (pruned_count_exactly_k, 1), (pruned_count_exactly_k, 2)]
+    for count, threads in runs:
+        seen = []
+        count(5, PATTERN_321, 1, threads=threads, progress=lambda d, t: seen.append((d, t)))
+        assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)], (count.__name__, threads)
+
+
+@pytest.mark.parametrize("pattern", CROSS_CHECK_PATTERNS, ids=lambda p: "".join(map(str, p)))
+def test_pruned_equals_the_naive_scan_for_every_k(pattern):
+    p = Permutation(pattern)
+    for n in range(7):
+        for k in range(math.comb(n, len(pattern)) + 2):
+            assert pruned_count_exactly_k(n, p, k) == brute_count_exactly_k(n, p, k), (n, k)
+    # n = 7: one naive pass tallies every k at once, as the n! scan counts them
+    tally = Counter(count_occurrences(v, pattern) for v in itertools.permutations(range(1, 8)))
+    assert brute_count_exactly_k(7, p, 1) == tally[1]
+    for k in range(math.comb(7, len(pattern)) + 2):
+        assert pruned_count_exactly_k(7, p, k) == tally[k], k
 
 
 def test_oracle_is_independent_of_the_optimized_paths():
     # the whole point of the oracle is that a bug elsewhere cannot confirm
-    # itself here; it may import the naive counter but nothing optimized
-    tree = ast.parse(inspect.getsource(permpat.oracle))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    forbidden = {
-        "avoiders",
-        "bijection",
-        "catalan",
-        "count_321",
-        "count_321_fenwick",
-        "enumerate_avoiders",
-        "enumerate_noonan",
+    # itself here: from the package it may import the naive counter, the
+    # permutation type and the errors, and nothing else
+    # (level, module) -> names it may provide, None for any
+    allowed = {
+        (0, "__future__"): None,
+        (0, "collections.abc"): None,
+        (0, "itertools"): None,
+        (0, "multiprocessing"): None,
+        (1, "errors"): None,
+        (1, "perms"): {"PATTERN_321", "Permutation", "count_occurrences"},
     }
-    assert not imported & forbidden, imported & forbidden
+    imported = set()
+    tree = ast.parse(inspect.getsource(permpat.oracle))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert allowed.get((0, alias.name), ()) is None, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            key = (node.level, node.module)
+            assert key in allowed, key
+            names = {alias.name for alias in node.names}
+            assert allowed[key] is None or names <= allowed[key], names - allowed[key]
+            imported |= names
     assert "count_occurrences" in imported

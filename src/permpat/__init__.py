@@ -37,7 +37,6 @@ from .errors import (
     ConstraintViolation,
     DomainError,
     InternalConstraintViolation,
-    InvalidB,
     InvalidRange,
     MultipleOccurrences,
     NoOccurrence,
@@ -86,7 +85,6 @@ __all__ = [
     "Decomposition",
     "DomainError",
     "InternalConstraintViolation",
-    "InvalidB",
     "InvalidRange",
     "MultipleOccurrences",
     "NoOccurrence",

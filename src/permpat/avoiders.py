@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .errors import CapExceeded, InvalidB, InvalidRange
+from .errors import CapExceeded, InvalidRange
 from .perms import Permutation, ValueSequence
 
 DEFAULT_CAP = 14
@@ -89,86 +89,31 @@ def _check_cap(m: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what} of length {m} exceeds the cap {cap}")
 
 
-def _pool_blocks(worker, jobs, threads):
-    """Run `worker` over `jobs` in a process pool, yielding results in order."""
-    import multiprocessing
-
-    with multiprocessing.Pool(min(threads, len(jobs))) as pool:
-        yield from pool.imap(worker, jobs)
-
-
-def _avoider_block(args: tuple[int, int]) -> list[tuple[int, ...]]:
-    m, first = args
-    return list(_avoiders(m, first))
-
-
-def _sigma1_block(args: tuple[int, int]) -> list[tuple[int, ...]]:
-    b, first = args
-    return [vals for vals in _avoiders(b, first) if vals[-1] != b]
-
-
-def _sigma2_block(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    b, n, first = args
-    shift = b - 1
-    return [tuple(v + shift for v in vals) for vals in _avoiders(n - b + 1, first)]
-
-
-def enumerate_avoiders(
-    n: int, *, cap: int = DEFAULT_CAP, threads: int = 1
-) -> Iterator[Permutation]:
+def enumerate_avoiders(n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:
     """Every 321-avoiding permutation of {1..n}, lexicographically.
 
-    The stream has exactly C_n items. With threads > 1 the search is
-    partitioned by first value across worker processes and merged back in
-    order, so the output is identical either way. Arguments are validated
-    here, before the first item is requested.
+    The stream has exactly C_n items. Arguments are validated here, before
+    the first item is requested.
 
     >>> [str(p) for p in enumerate_avoiders(3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1', '3 1 2']
     """
     _check_cap(n, cap, "avoider generation")
-    return _iter_avoiders(n, threads)
+    return map(Permutation, _avoiders(n))
 
 
-def _iter_avoiders(n: int, threads: int) -> Iterator[Permutation]:
-    if threads > 1 and n > 1:
-        jobs = [(n, f) for f in range(1, n + 1)]
-        for block in _pool_blocks(_avoider_block, jobs, threads):
-            for vals in block:
-                yield Permutation(vals)
-    else:
-        for vals in _avoiders(n):
-            yield Permutation(vals)
-
-
-def enumerate_sigma1(
-    b: int, *, cap: int = DEFAULT_CAP, threads: int = 1
-) -> Iterator[Permutation]:
+def enumerate_sigma1(b: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:
     """321-avoiding permutations of {1..b} not ending with b, lexicographically.
 
     The stream has exactly C_b - C_{b-1} items.
     """
     if b < 2:
-        raise InvalidB(f"the middle value b must be at least 2, got {b}")
+        raise InvalidRange(f"the middle value b must be at least 2, got {b}")
     _check_cap(b, cap, "left-factor generation")
-    return _iter_sigma1(b, threads)
+    return (Permutation(vals) for vals in _avoiders(b) if vals[-1] != b)
 
 
-def _iter_sigma1(b: int, threads: int) -> Iterator[Permutation]:
-    if threads > 1:
-        jobs = [(b, f) for f in range(1, b + 1)]
-        for block in _pool_blocks(_sigma1_block, jobs, threads):
-            for vals in block:
-                yield Permutation(vals)
-    else:
-        for vals in _avoiders(b):
-            if vals[-1] != b:
-                yield Permutation(vals)
-
-
-def enumerate_sigma2(
-    b: int, n: int, *, cap: int = DEFAULT_CAP, threads: int = 1
-) -> Iterator[ValueSequence]:
+def enumerate_sigma2(b: int, n: int, *, cap: int = DEFAULT_CAP) -> Iterator[ValueSequence]:
     """321-avoiding sequences over {b..n} not starting with b, lexicographically.
 
     The stream has exactly C_{n-b+1} - C_{n-b} items. Items carry their
@@ -176,22 +121,13 @@ def enumerate_sigma2(
     """
     if not 2 <= b <= n - 1:
         raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
-    _check_cap(n - b + 1, cap, "right-factor generation")
-    return _iter_sigma2(b, n, threads)
-
-
-def _iter_sigma2(b: int, n: int, threads: int) -> Iterator[ValueSequence]:
     m = n - b + 1
+    _check_cap(m, cap, "right-factor generation")
     shift = b - 1
     # An avoider starting with 1 shifts to a sequence starting with b, so
     # only the first values 2..m are generated.
-    firsts = range(2, m + 1)
-    if threads > 1:
-        jobs = [(b, n, f) for f in firsts]
-        for block in _pool_blocks(_sigma2_block, jobs, threads):
-            for vals in block:
-                yield ValueSequence(vals)
-    else:
-        for f in firsts:
-            for vals in _avoiders(m, f):
-                yield ValueSequence(tuple(v + shift for v in vals))
+    return (
+        ValueSequence(tuple(v + shift for v in vals))
+        for f in range(2, m + 1)
+        for vals in _avoiders(m, f)
+    )

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .avoiders import DEFAULT_CAP, enumerate_sigma1, enumerate_sigma2, is_avoiding_321
+from .avoiders import DEFAULT_CAP, _check_cap, enumerate_sigma1, enumerate_sigma2, is_avoiding_321
 from .errors import (
-    CapExceeded,
     ConstraintViolation,
     InternalConstraintViolation,
     NotAPermutation,
@@ -174,8 +173,7 @@ def enumerate_noonan(
     >>> [str(p) for p in enumerate_noonan(3)]
     ['3 2 1']
     """
-    if n > cap:
-        raise CapExceeded(f"enumeration of length {n} exceeds the cap {cap}")
+    _check_cap(n, cap, "enumeration")
     return _iter_noonan(n, cap, threads)
 
 

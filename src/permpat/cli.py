@@ -34,7 +34,7 @@ from .catalan import (
     noonan_closed,
     noonan_convolution,
 )
-from .errors import DomainError
+from .errors import DomainError, InvalidRange
 from .perms import (
     PATTERN_321,
     count_321_fenwick,
@@ -116,7 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_work_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes (output is identical for any value)")
+    p.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="worker processes for the one-321 family and the oracle; the avoider "
+        "families run in one process (output is identical for any value)",
+    )
     p.add_argument("--cap", type=int, default=None, help="override the size cap")
     p.add_argument("--progress", action="store_true", help="write progress to stderr")
 
@@ -219,12 +225,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise UsageError(f"--n is required for --family {family}")
     if family in ("sigma1", "sigma2") and args.b is None:
         raise UsageError(f"--b is required for --family {family}")
+    # Only the one-321 family runs in a pool; the avoider families run in
+    # this process whatever --threads says.
     if family == "avoiders":
-        stream = enumerate_avoiders(args.n, cap=cap, threads=args.threads)
+        stream = enumerate_avoiders(args.n, cap=cap)
     elif family == "sigma1":
-        stream = enumerate_sigma1(args.b, cap=cap, threads=args.threads)
+        stream = enumerate_sigma1(args.b, cap=cap)
     elif family == "sigma2":
-        stream = enumerate_sigma2(args.b, args.n, cap=cap, threads=args.threads)
+        stream = enumerate_sigma2(args.b, args.n, cap=cap)
     else:
         stream = enumerate_noonan(args.n, cap=cap, threads=args.threads)
     _print_stream(stream, args.progress)
@@ -254,6 +262,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         for n, value in enumerate(catalan_table(args.max_n)):
             print(n, value)
     else:
+        if args.max_n < 0:
+            raise InvalidRange(f"seq requires max_n >= 0, got {args.max_n}")
         for n in range(1, args.max_n + 1):
             print(n, noonan_closed(n))
     return 0

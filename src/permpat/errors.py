@@ -44,9 +44,5 @@ class CapExceeded(DomainError):
     """Requested size is above the configured generation or oracle cap."""
 
 
-class InvalidB(DomainError):
-    """Middle value b is outside its admissible range (b >= 2)."""
-
-
 class InvalidRange(DomainError):
     """A numeric argument is outside the operation's domain."""

@@ -203,6 +203,36 @@ def test_threads_leave_output_identical(invoke):
         assert threaded == base
 
 
+def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
+    # --threads is accepted by every family, but only noonan and the oracle
+    # use a process pool; -S keeps site from importing multiprocessing itself.
+    code = (
+        "import sys\n"
+        "from permpat.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    families = [
+        ("enumerate", "--family", "avoiders", "--n", "7"),
+        ("enumerate", "--family", "sigma1", "--b", "7"),
+        ("enumerate", "--family", "sigma2", "--b", "2", "--n", "8"),
+    ]
+    for argv in families:
+        base = invoke(*argv, "--threads", "1")
+        assert base[0] == 0 and base[1]
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, *argv, "--threads", "2"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == base[1], argv
+        assert result.stderr == "False\n", argv
+
+
 def test_progress_goes_to_stderr_only(invoke):
     quiet = invoke("oracle", "--n", "5")
     chatty = invoke("oracle", "--n", "5", "--progress")
@@ -222,10 +252,13 @@ def test_domain_errors_exit_1_with_named_diagnostic(invoke):
         (("compose", "--b", "2", "--sigma1", "1 2", "--sigma2", "3 2"), "ConstraintViolation"),
         (("enumerate", "--family", "avoiders", "--n", "15"), "CapExceeded"),
         (("enumerate", "--family", "sigma2", "--b", "5", "--n", "5"), "InvalidRange"),
-        (("enumerate", "--family", "sigma1", "--b", "1"), "InvalidB"),
+        (("enumerate", "--family", "sigma1", "--b", "1"), "InvalidRange"),
+        (("enumerate", "--family", "noonan", "--n", "-3"), "InvalidRange"),
         (("oracle", "--n", "12"), "CapExceeded"),
         (("noonan", "--n", "0"), "InvalidRange"),
+        (("noonan", "--n", "-3", "--method", "bijection"), "InvalidRange"),
         (("seq", "--what", "catalan", "--max-n", "-1"), "InvalidRange"),
+        (("seq", "--what", "noonan", "--max-n", "-1"), "InvalidRange"),
     ]
     for argv, name in cases:
         code, out, err = invoke(*argv)

@@ -18,14 +18,15 @@ straight to its lexicographic successor, as in the constant-amortized-time
 Catalan generators of Knuth, TAOCP 4A §7.2.1.6. Every value from the
 maximum onwards is forced; the value just before the maximum becomes one
 more than the largest value so far, and the unused values follow in
-increasing order.
+increasing order. Every generated tuple is checked to hold exactly the
+values of its family before it is wrapped or printed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .errors import CapExceeded, InvalidRange
+from .errors import CapExceeded, InternalConstraintViolation, InvalidRange
 from .perms import Permutation, ValueSequence
 
 DEFAULT_CAP = 14
@@ -89,6 +90,40 @@ def _check_cap(m: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what} of length {m} exceeds the cap {cap}")
 
 
+def _checked(tuples: Iterator[tuple[int, ...]], lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """Pass the tuples through, each checked to hold exactly the values lo..hi."""
+    values = list(range(lo, hi + 1))
+    for t in tuples:
+        if sorted(t) != values:
+            raise InternalConstraintViolation(f"generated {t} does not hold exactly {lo}..{hi}")
+        yield t
+
+
+def _avoider_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    _check_cap(n, cap, "avoider generation")
+    return _checked(_avoiders(n), 1, n)
+
+
+def _sigma1_tuples(b: int, cap: int) -> Iterator[tuple[int, ...]]:
+    if b < 2:
+        raise InvalidRange(f"the middle value b must be at least 2, got {b}")
+    _check_cap(b, cap, "left-factor generation")
+    return _checked((vals for vals in _avoiders(b) if vals[-1] != b), 1, b)
+
+
+def _sigma2_tuples(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    if not 2 <= b <= n - 1:
+        raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
+    m = n - b + 1
+    _check_cap(m, cap, "right-factor generation")
+    shifted = list(range(b - 1, n + 1)).__getitem__
+    # An avoider starting with 1 shifts to a sequence starting with b, so
+    # only the first values 2..m are generated.
+    return _checked(
+        (tuple(map(shifted, vals)) for f in range(2, m + 1) for vals in _avoiders(m, f)), b, n
+    )
+
+
 def enumerate_avoiders(n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:
     """Every 321-avoiding permutation of {1..n}, lexicographically.
 
@@ -98,8 +133,7 @@ def enumerate_avoiders(n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutatio
     >>> [str(p) for p in enumerate_avoiders(3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1', '3 1 2']
     """
-    _check_cap(n, cap, "avoider generation")
-    return map(Permutation, _avoiders(n))
+    return map(Permutation._trusted, _avoider_tuples(n, cap))
 
 
 def enumerate_sigma1(b: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:
@@ -107,10 +141,7 @@ def enumerate_sigma1(b: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutation]
 
     The stream has exactly C_b - C_{b-1} items.
     """
-    if b < 2:
-        raise InvalidRange(f"the middle value b must be at least 2, got {b}")
-    _check_cap(b, cap, "left-factor generation")
-    return (Permutation(vals) for vals in _avoiders(b) if vals[-1] != b)
+    return map(Permutation._trusted, _sigma1_tuples(b, cap))
 
 
 def enumerate_sigma2(b: int, n: int, *, cap: int = DEFAULT_CAP) -> Iterator[ValueSequence]:
@@ -119,15 +150,4 @@ def enumerate_sigma2(b: int, n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Valu
     The stream has exactly C_{n-b+1} - C_{n-b} items. Items carry their
     literal values from {b..n}, not a normalized copy.
     """
-    if not 2 <= b <= n - 1:
-        raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
-    m = n - b + 1
-    _check_cap(m, cap, "right-factor generation")
-    shift = b - 1
-    # An avoider starting with 1 shifts to a sequence starting with b, so
-    # only the first values 2..m are generated.
-    return (
-        ValueSequence(tuple(v + shift for v in vals))
-        for f in range(2, m + 1)
-        for vals in _avoiders(m, f)
-    )
+    return map(ValueSequence, _sigma2_tuples(b, n, cap))

@@ -12,13 +12,20 @@ therefore lands on a pair of 321-avoiding sequences: sigma1 a permutation
 of {1..b} not ending with b, sigma2 over {b..n} not starting with b. The
 map is a bijection onto all such pairs with 2 <= b <= n-1, which is what
 compose() inverts and enumerate_noonan() exploits.
+
+The enumeration validates each factor once and splits it once, into
+(p1, p2, a) and (c, p3, p4); every item is then a plain tuple, checked on
+its own to hold exactly 1..n with a middle-position 321 sum of exactly 1.
+The CLI prints those tuples and, at the end of the stream, checks that
+their number is the closed-form count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterator
 
-from .avoiders import DEFAULT_CAP, _check_cap, enumerate_sigma1, enumerate_sigma2, is_avoiding_321
+from .avoiders import DEFAULT_CAP, _check_cap, _sigma1_tuples, _sigma2_tuples, is_avoiding_321
 from .errors import (
     ConstraintViolation,
     InternalConstraintViolation,
@@ -63,30 +70,34 @@ def validate_decomposition(d: Decomposition) -> None:
     """Raise ConstraintViolation unless every Decomposition invariant holds."""
     if not 2 <= d.b <= d.n - 1:
         raise ConstraintViolation(f"need 2 <= b <= n-1, got b={d.b}, n={d.n}")
-    _validate_sigma1(d.b, d.sigma1)
-    _validate_sigma2(d.b, d.n, d.sigma2)
+    _validate_sigma1(d.b, d.sigma1.values)
+    _validate_sigma2(d.b, d.n, d.sigma2.values)
 
 
-def _validate_sigma1(b: int, sigma1: Permutation) -> None:
-    if sigma1.n != b:
-        raise ConstraintViolation(
-            f"sigma1 must be a permutation of 1..{b}, got length {sigma1.n}"
-        )
-    if sigma1.values[-1] == b:
+def _validate_sigma1(b: int, s1: tuple[int, ...]) -> None:
+    # s1 and s2 below hold distinct values: a factor's values, or a
+    # generated tuple already checked to hold exactly its family's values.
+    if len(s1) != b:
+        raise ConstraintViolation(f"sigma1 must be a permutation of 1..{b}, got length {len(s1)}")
+    if s1[-1] == b:
         raise ConstraintViolation(f"sigma1 must not end with b={b}")
-    if not is_avoiding_321(sigma1):
-        raise ConstraintViolation(f"sigma1 {sigma1} contains a 321 occurrence")
+    if not is_avoiding_321(s1):
+        raise ConstraintViolation(f"sigma1 {_text(s1)} contains a 321 occurrence")
 
 
-def _validate_sigma2(b: int, n: int, sigma2: ValueSequence) -> None:
-    if sigma2.support != frozenset(range(b, n + 1)):
+def _validate_sigma2(b: int, n: int, s2: tuple[int, ...]) -> None:
+    if frozenset(s2) != frozenset(range(b, n + 1)):
         raise ConstraintViolation(
-            f"sigma2 support must be exactly {{{b}..{n}}}, got {sorted(sigma2.support)}"
+            f"sigma2 support must be exactly {{{b}..{n}}}, got {sorted(s2)}"
         )
-    if sigma2.values[0] == b:
+    if s2[0] == b:
         raise ConstraintViolation(f"sigma2 must not start with b={b}")
-    if not is_avoiding_321(sigma2):
-        raise ConstraintViolation(f"sigma2 {sigma2} contains a 321 occurrence")
+    if not is_avoiding_321(s2):
+        raise ConstraintViolation(f"sigma2 {_text(s2)} contains a 321 occurrence")
+
+
+def _text(values: tuple[int, ...]) -> str:
+    return " ".join(map(str, values))
 
 
 def decompose(perm: Permutation) -> Decomposition:
@@ -127,38 +138,62 @@ def compose(d: Decomposition) -> Permutation:
     the output is defensively checked to contain 321 exactly once.
     """
     validate_decomposition(d)
-    return _splice(d.b, d.sigma1, d.sigma2.values, d.n)
-
-
-def _splice(b: int, sigma1: Permutation, s2: tuple[int, ...], n: int) -> Permutation:
-    """p1 c p2 b p3 a p4 from validated factors, checked to contain 321 once."""
-    s1 = sigma1.values
+    b, s1, s2 = d.b, d.sigma1.values, d.sigma2.values
     p = s1.index(b)
     q = s2.index(b)
     perm = Permutation(s1[:p] + s2[:1] + s1[p + 1 : -1] + (b,) + s2[1:q] + s1[-1:] + s2[q + 1 :])
     if count_321(perm) != 1:
-        d = Decomposition(b=b, sigma1=sigma1, sigma2=ValueSequence(s2), n=n)
-        raise InternalConstraintViolation(
-            f"composition of {d} does not contain 321 exactly once"
-        )
+        raise InternalConstraintViolation(f"composition of {d} does not contain 321 exactly once")
     return perm
 
 
-def _noonan_for_b(b: int, n: int, cap: int) -> Iterator[Permutation]:
-    # Each factor is validated once here, not once per pair as compose would.
-    right_factors = []
-    for s2 in enumerate_sigma2(b, n, cap=cap):
+def _check_one_321(t: tuple[int, ...], values: list[int]) -> None:
+    """Raise InternalConstraintViolation unless t arranges `values` (1..n) with one 321.
+
+    One pass builds the sorted prefix and the middle-position sum of
+    count_321; the sum is the 321 count once the values are 1..n.
+    """
+    seen: list[int] = []
+    total = 0
+    for j, v in enumerate(t):
+        s = bisect(seen, v)
+        seen.insert(s, v)
+        total += (j - s) * (v - 1 - s)
+    if seen != values or total != 1:
+        raise InternalConstraintViolation(f"generated {_text(t)} is not a one-321 permutation")
+
+
+def _noonan_for_b(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    # Each factor is validated once and split once. sigma2 = c p3 b p4 is
+    # kept as three columns, which take less memory than a tuple per factor;
+    # the few distinct p3 pieces are stored once each.
+    cs, p3s, p4s, shared = [], [], [], {}
+    for s2 in _sigma2_tuples(b, n, cap):
         _validate_sigma2(b, n, s2)
-        right_factors.append(s2.values)
-    for s1 in enumerate_sigma1(b, cap=cap):
+        q = s2.index(b)
+        cs.append(s2[0])
+        p3s.append(shared.setdefault(s2[1:q], s2[1:q]))
+        p4s.append(s2[q + 1 :])
+    values = list(range(1, n + 1))
+    for s1 in _sigma1_tuples(b, cap):
         _validate_sigma1(b, s1)
-        for s2 in right_factors:
-            yield _splice(b, s1, s2, n)
+        # sigma1 = p1 b p2 a
+        p = s1.index(b)
+        p1, p2, a = s1[:p], s1[p + 1 : -1], s1[-1]
+        for c, p3, p4 in zip(cs, p3s, p4s):
+            t = (*p1, c, *p2, b, *p3, a, *p4)
+            _check_one_321(t, values)
+            yield t
 
 
 def _noonan_block(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    b, n, cap = args
-    return [p.values for p in _noonan_for_b(b, n, cap)]
+    return list(_noonan_for_b(*args))
+
+
+def _noonan_tuples(n: int, cap: int, threads: int) -> Iterator[tuple[int, ...]]:
+    """The checked tuples of enumerate_noonan, arguments validated first."""
+    _check_cap(n, cap, "enumeration")
+    return _iter_noonan(n, cap, threads)
 
 
 def enumerate_noonan(
@@ -173,11 +208,10 @@ def enumerate_noonan(
     >>> [str(p) for p in enumerate_noonan(3)]
     ['3 2 1']
     """
-    _check_cap(n, cap, "enumeration")
-    return _iter_noonan(n, cap, threads)
+    return map(Permutation._trusted, _noonan_tuples(n, cap, threads))
 
 
-def _iter_noonan(n: int, cap: int, threads: int) -> Iterator[Permutation]:
+def _iter_noonan(n: int, cap: int, threads: int) -> Iterator[tuple[int, ...]]:
     if n < 3:
         return
     bs = range(2, n)
@@ -186,9 +220,9 @@ def _iter_noonan(n: int, cap: int, threads: int) -> Iterator[Permutation]:
 
         jobs = [(b, n, cap) for b in bs]
         with multiprocessing.Pool(min(threads, len(jobs))) as pool:
-            # Workers built and checked each item in _splice; wrap, don't re-check.
+            # Workers checked every tuple in _noonan_for_b.
             for block in pool.imap(_noonan_block, jobs):
-                yield from map(Permutation._trusted, block)
+                yield from block
     else:
         for b in bs:
             yield from _noonan_for_b(b, n, cap)

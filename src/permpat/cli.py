@@ -15,26 +15,22 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from itertools import islice
 
-from .avoiders import (
-    DEFAULT_CAP,
-    enumerate_avoiders,
-    enumerate_sigma1,
-    enumerate_sigma2,
-)
+from .avoiders import DEFAULT_CAP, _avoider_tuples, _sigma1_tuples, _sigma2_tuples
 from .bijection import (
     Decomposition,
+    _noonan_tuples,
     compose,
     decompose,
-    enumerate_noonan,
     format_decomposition,
 )
 from .catalan import (
+    catalan,
     catalan_table,
     noonan_catalan_form,
     noonan_closed,
     noonan_convolution,
 )
-from .errors import DomainError, InvalidRange
+from .errors import DomainError, InternalConstraintViolation, InvalidRange
 from .perms import (
     PATTERN_321,
     count_321_fenwick,
@@ -172,17 +168,22 @@ def _oracle_count(args: argparse.Namespace, k: int) -> int:
     )
 
 
-def _print_stream(stream: Iterable[object], progress: bool) -> int:
-    # Batches of _BATCH lines per write; the size divides the progress step.
+def _print_stream(tuples: Iterable[tuple[int, ...]], top: int, expected: int, progress: bool) -> None:
+    # Every family's generator checked each tuple's values (and, for noonan,
+    # its single 321) before yielding it; a line is one join over a table of
+    # value strings. Batches of _BATCH lines per write; the size divides the
+    # progress step. The emitted total must equal the closed-form count.
     out = sys.stdout
-    lines = map(str, stream)
+    text = list(map(str, range(top + 1))).__getitem__
+    lines = (" ".join(map(text, t)) for t in tuples)
     emitted = 0
     while batch := list(islice(lines, _BATCH)):
         out.write("\n".join(batch) + "\n")
         emitted += len(batch)
         if progress and emitted % 100000 == 0:
             print(f"{emitted} items", file=sys.stderr)
-    return emitted
+    if emitted != expected:
+        raise InternalConstraintViolation(f"stream emitted {emitted} items, expected {expected}")
 
 
 def _cmd_noonan(args: argparse.Namespace) -> int:
@@ -196,7 +197,7 @@ def _cmd_noonan(args: argparse.Namespace) -> int:
         value = _oracle_count(args, 1)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_CAP
-        value = sum(1 for _ in enumerate_noonan(args.n, cap=cap, threads=args.threads))
+        value = sum(1 for _ in _noonan_tuples(args.n, cap, args.threads))
     print(value)
     return 0
 
@@ -227,15 +228,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise UsageError(f"--b is required for --family {family}")
     # Only the one-321 family runs in a pool; the avoider families run in
     # this process whatever --threads says.
+    n, b = args.n, args.b
     if family == "avoiders":
-        stream = enumerate_avoiders(args.n, cap=cap)
+        stream, top, expected = _avoider_tuples(n, cap), n, catalan(n)
     elif family == "sigma1":
-        stream = enumerate_sigma1(args.b, cap=cap)
+        stream, top, expected = _sigma1_tuples(b, cap), b, catalan(b) - catalan(b - 1)
     elif family == "sigma2":
-        stream = enumerate_sigma2(args.b, args.n, cap=cap)
+        stream, top = _sigma2_tuples(b, n, cap), n
+        expected = catalan(n - b + 1) - catalan(n - b)
     else:
-        stream = enumerate_noonan(args.n, cap=cap, threads=args.threads)
-    _print_stream(stream, args.progress)
+        stream, top = _noonan_tuples(n, cap, args.threads), n
+        expected = noonan_closed(n) if n else 0
+    _print_stream(stream, top, expected, args.progress)
     return 0
 
 

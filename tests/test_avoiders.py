@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permpat import avoiders
 from permpat.avoiders import (
     _avoiders,
+    _checked,
     enumerate_avoiders,
     enumerate_sigma1,
     enumerate_sigma2,
     is_avoiding_321,
 )
 from permpat.catalan import catalan
-from permpat.errors import CapExceeded, InvalidRange
+from permpat.errors import CapExceeded, InternalConstraintViolation, InvalidRange
 from permpat.perms import Permutation, ValueSequence, count_occurrences
 
 
@@ -44,6 +46,37 @@ def test_is_avoiding_matches_naive_count_exhaustively():
 def test_is_avoiding_matches_naive_count_on_shifted_values(values, shift):
     shifted = tuple(v + shift for v in values)
     assert is_avoiding_321(shifted) == (count_occurrences(shifted, (3, 2, 1)) == 0)
+
+
+# --- per-item value check -----------------------------------------------
+
+
+@pytest.mark.parametrize("t", [(2, 2, 4), (2, 3, 5), (1, 2, 3), (2, 3)])
+def test_tuple_check_rejects_a_wrong_value_set(t):
+    # A duplicate, a value above and one below the range 2..4, a short tuple.
+    stream = _checked(iter([(4, 2, 3), t]), 2, 4)
+    assert next(stream) == (4, 2, 3)
+    with pytest.raises(InternalConstraintViolation):
+        next(stream)
+
+
+def test_every_family_item_goes_through_the_check(monkeypatch):
+    checked = []
+    real = avoiders._checked
+
+    def spy(tuples, lo, hi):
+        for t in real(tuples, lo, hi):
+            checked.append((t, lo, hi))
+            yield t
+
+    monkeypatch.setattr(avoiders, "_checked", spy)
+    for stream, lo, hi in [
+        (enumerate_avoiders(6), 1, 6),
+        (enumerate_sigma1(6), 1, 6),
+        (enumerate_sigma2(3, 7), 3, 7),
+    ]:
+        checked.clear()
+        assert [(p.values, lo, hi) for p in stream] == checked
 
 
 # --- enumerate_avoiders -------------------------------------------------

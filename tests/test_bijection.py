@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permpat import bijection
 from permpat.avoiders import enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import (
     Decomposition,
+    _check_one_321,
     compose,
     decompose,
     enumerate_noonan,
@@ -260,6 +262,33 @@ def test_enumerate_noonan_threads_do_not_change_the_stream():
     assert merged == sequential
     assert [hash(p) for p in merged] == [hash(p) for p in sequential]
     assert all(type(p) is Permutation for p in merged)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        (4, 3, 1, 2),  # a permutation with two 321s: 4 3 1 and 4 3 2
+        (1, 2, 3, 4),  # a permutation with none
+        (3, 2, 1, 3),  # a repeated value; its middle-position sum is still 1
+        (3, 2, 1, 5),  # a value out of range; its middle-position sum is still 1
+    ],
+)
+def test_noonan_tuple_check_rejects(t):
+    with pytest.raises(InternalConstraintViolation):
+        _check_one_321(t, [1, 2, 3, 4])
+
+
+def test_every_noonan_tuple_goes_through_the_check(monkeypatch):
+    checked = []
+    monkeypatch.setattr(bijection, "_check_one_321", lambda t, values: checked.append((t, values)))
+    streamed = [p.values for p in enumerate_noonan(7)]
+    assert checked == [(t, [1, 2, 3, 4, 5, 6, 7]) for t in streamed]
+
+
+def test_noonan_tuple_check_accepts_every_one_321_permutation():
+    for n in range(3, 8):
+        for p in brute_noonan_set(n):
+            _check_one_321(p.values, list(range(1, n + 1)))
 
 
 # --- text form ----------------------------------------------------------

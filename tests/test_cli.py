@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import signal
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from permpat.avoiders import enumerate_avoiders
+from permpat import cli
+from permpat.avoiders import enumerate_avoiders, enumerate_sigma1, enumerate_sigma2
+from permpat.bijection import Decomposition, compose
 from permpat.catalan import noonan_closed
 from permpat.cli import run
 from permpat.oracle import brute_noonan_set
@@ -165,6 +168,62 @@ def test_enumerate_noonan_matches_oracle(invoke):
         _, out, _ = invoke("enumerate", "--family", "noonan", "--n", str(n))
         expected = sorted(str(p) for p in brute_noonan_set(n))
         assert sorted(out.splitlines()) == expected
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_noonan_stream_equals_the_checked_public_path(invoke, threads):
+    for n in range(3, 11):
+        expected = "".join(
+            f"{compose(Decomposition(b, s1, s2, n))}\n"
+            for b in range(2, n)
+            for s1 in enumerate_sigma1(b)
+            for s2 in enumerate_sigma2(b, n)
+        )
+        argv = ("enumerate", "--family", "noonan", "--n", str(n), "--threads", threads)
+        assert invoke(*argv) == (0, expected, "")
+
+
+def test_avoider_stream_lines_are_the_library_strings(invoke):
+    cases = [(("avoiders", "--n", str(n)), enumerate_avoiders(n)) for n in range(11)]
+    cases += [(("sigma1", "--b", str(b)), enumerate_sigma1(b)) for b in range(2, 11)]
+    cases += [
+        (("sigma2", "--b", str(b), "--n", str(n)), enumerate_sigma2(b, n))
+        for n in range(3, 11)
+        for b in range(2, n)
+    ]
+    for argv, items in cases:
+        assert invoke("enumerate", "--family", *argv) == (0, "".join(f"{p}\n" for p in items), "")
+
+
+def _drop_first(tuples):
+    tuples = iter(tuples)
+    next(tuples)
+    return tuples
+
+
+def _repeat_first(tuples):
+    tuples = iter(tuples)
+    first = next(tuples)
+    return itertools.chain([first, first], tuples)
+
+
+@pytest.mark.parametrize("change", [_drop_first, _repeat_first])
+@pytest.mark.parametrize(
+    "generator, argv",
+    [
+        ("_avoider_tuples", ("avoiders", "--n", "5")),
+        ("_sigma1_tuples", ("sigma1", "--b", "5")),
+        ("_sigma2_tuples", ("sigma2", "--b", "2", "--n", "6")),
+        ("_noonan_tuples", ("noonan", "--n", "6")),
+    ],
+)
+def test_stream_checks_its_length_at_the_end(invoke, monkeypatch, generator, argv, change):
+    original = getattr(cli, generator)
+    monkeypatch.setattr(cli, generator, lambda *args: change(original(*args)))
+    code, out, err = invoke("enumerate", "--family", *argv)
+    assert code == 1
+    assert out  # the lines went out before the count was known
+    assert err.startswith("InternalConstraintViolation: stream emitted")
 
 
 def test_oracle_subcommand(invoke):

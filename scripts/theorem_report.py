@@ -4,7 +4,7 @@
 For each n up to --max-oracle the count is computed six ways and compared:
 
   oracle       brute force over all n! permutations, naive counter only
-  pruned       exhaustive prefix search that drops prefixes past one 321
+  states       exhaustive count over prefix states (oracle.count_321_exactly_k)
   bijection    enumerate (b, sigma1, sigma2) triples and compose each one
   closed       (3/n) * binom(2n, n+3)
   catalan      C_{n+2} - 4 C_{n+1} + 3 C_n from the recurrence-built table
@@ -25,11 +25,11 @@ import time
 from permpat import (
     PATTERN_321,
     brute_count_exactly_k,
+    count_321_exactly_k,
     enumerate_noonan,
     noonan_catalan_form,
     noonan_closed,
     noonan_convolution,
-    pruned_count_exactly_k,
 )
 
 
@@ -43,23 +43,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     failures = 0
-    print(f"{'n':>4} {'oracle':>12} {'pruned':>12} {'bijection':>12} {'closed':>12} "
+    print(f"{'n':>4} {'oracle':>12} {'states':>12} {'bijection':>12} {'closed':>12} "
           f"{'catalan':>12} {'convolution':>12}")
     for n in range(3, args.max_oracle + 1):
         t0 = time.perf_counter()
         oracle = brute_count_exactly_k(n, PATTERN_321, 1, cap=max(10, n),
                                        threads=args.threads)
-        pruned = pruned_count_exactly_k(n, PATTERN_321, 1, cap=max(10, n),
-                                        threads=args.threads)
+        states = count_321_exactly_k(n, 1, cap=max(10, n))
         bij = sum(1 for _ in enumerate_noonan(n, threads=args.threads))
         closed = noonan_closed(n)
         cat = noonan_catalan_form(n)
         conv = noonan_convolution(n)
-        ok = oracle == pruned == bij == closed == cat == conv
+        ok = oracle == states == bij == closed == cat == conv
         if not ok:
             failures += 1
         mark = "" if ok else "   <-- MISMATCH"
-        print(f"{n:>4} {oracle:>12} {pruned:>12} {bij:>12} {closed:>12} {cat:>12} {conv:>12}"
+        print(f"{n:>4} {oracle:>12} {states:>12} {bij:>12} {closed:>12} {cat:>12} {conv:>12}"
               f"{mark}   [{time.perf_counter() - t0:.1f}s]")
 
     t0 = time.perf_counter()

@@ -3,9 +3,9 @@
 The package provides validated permutation types, exact pattern counting,
 generation of 321-avoiding families, the decomposition pairing one-321
 permutations with constrained avoider pairs, exact Catalan arithmetic for
-the resulting count identities, and an exhaustive oracle (a pruned search,
-checked against a naive n! scan) that checks all of it from first
-principles.
+the resulting count identities, and an exhaustive oracle (a count over
+prefix states, checked against a naive n! scan) that checks all of it from
+first principles.
 """
 
 from .avoiders import (
@@ -65,7 +65,7 @@ __version__ = "0.1.0"
 # The oracle loads on first use: of the CLI commands, each a fresh process,
 # only the two oracle ones need it.
 _ORACLE_NAMES = frozenset(
-    ("DEFAULT_ORACLE_CAP", "brute_count_exactly_k", "brute_noonan_set", "pruned_count_exactly_k")
+    ("DEFAULT_ORACLE_CAP", "brute_count_exactly_k", "brute_noonan_set", "count_321_exactly_k")
 )
 
 
@@ -102,6 +102,7 @@ __all__ = [
     "catalan_table",
     "compose",
     "count_321",
+    "count_321_exactly_k",
     "count_321_fenwick",
     "count_occurrences",
     "count_pattern",
@@ -120,7 +121,6 @@ __all__ = [
     "parse_decomposition",
     "parse_one_line",
     "parse_value_sequence",
-    "pruned_count_exactly_k",
     "standardize",
     "validate_decomposition",
 ]

@@ -1,13 +1,15 @@
-"""Ground truth by exhaustive search over all n! permutations.
+"""Ground truth by exhaustive counting, independent of the fast paths.
 
 Two exact counters of the n-permutations with exactly k occurrences of a
 pattern, both exhaustive:
 
-- pruned_count_exactly_k, which the CLI uses, searches prefixes depth first.
-  Appending a value never removes an occurrence, so a prefix whose running
-  count exceeds k is dropped with every permutation that extends it.
-- brute_count_exactly_k is the reference that checks it: it enumerates every
-  permutation and counts occurrences with the naive generic counter.
+- count_321_exactly_k, which the CLI uses, counts for the pattern 321 over
+  prefix states. It builds every permutation position by position, but
+  counts together the prefixes whose futures are the same, and drops a
+  prefix once no completion of it can have exactly k occurrences.
+- brute_count_exactly_k is the reference that checks it, for any pattern:
+  it enumerates all n! permutations and counts occurrences with the naive
+  generic counter.
 
 This module deliberately knows nothing about the optimized counters, the
 avoider generators, or the bijection, so that a bug elsewhere cannot
@@ -24,20 +26,76 @@ from .perms import PATTERN_321, Permutation, count_occurrences
 
 DEFAULT_ORACLE_CAP = 10
 
-_Job = tuple[int, int, tuple[int, ...], int]
 
-
-def _check(n: int, cap: int) -> None:
+def _check(n: int, cap: int, k: int = 0) -> None:
     if n < 0:
         raise InvalidRange(f"need n >= 0, got {n}")
     if n > cap:
         raise CapExceeded(
-            f"brute force over {n}! permutations exceeds the cap {cap}; "
+            f"exhaustive count at n = {n} exceeds the cap {cap}; "
             f"raise the cap explicitly if you can afford the runtime"
         )
+    if k < 0:
+        raise InvalidRange(f"need k >= 0, got {k}")
 
 
-def _count_block(args: _Job) -> int:
+def count_321_exactly_k(
+    n: int,
+    k: int,
+    *,
+    cap: int = DEFAULT_ORACLE_CAP,
+    progress: Callable[[int, int], None] | None = None,
+) -> int:
+    """Number of n-permutations with exactly k occurrences of 321.
+
+    An exhaustive count over prefix states, one layer per position, checked
+    against brute_count_exactly_k. Appending x to a prefix adds one
+    occurrence for each 21-pair of the prefix whose lower value is above x,
+    and each prefix value above x becomes the top of a new 21-pair. So what
+    a prefix can still become depends only on its running count and, for
+    each unused value y in increasing order, on a pair (g, f):
+
+    - g, the number of prefix values above y;
+    - f, the number of prefix 21-pairs whose lower value is above y.
+
+    Appending x adds f(x) occurrences, and for every unused y < x it adds 1
+    to g(y) and g(x) to f(y). Both g and f fall as y rises. Occurrences are
+    never removed, and each unused y adds at least its f when it comes, so
+    a state is dead once the f of its lowest unused value exceeds the
+    budget k - count. And g is capped at budget + 1, because appending a
+    value with a larger g pushes the f of every lower unused value past the
+    budget. `progress(done, n)` is invoked after each layer.
+
+    >>> count_321_exactly_k(5, 1)
+    27
+    """
+    _check(n, cap, k)
+    # (count, ((g, f) of each unused value, increasing)) -> prefixes in that state
+    layer = {(0, ((0, 0),) * n): 1}
+    for done in range(1, n + 1):
+        after: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+        for (count, state), ways in layer.items():
+            for i, (gx, fx) in enumerate(state):
+                budget = k - count - fx
+                # state[0] is the lowest unused value; below x its f grows by gx
+                if budget < 0 or (i and state[0][1] + gx > budget):
+                    continue
+                top = budget + 1
+                below = tuple([(g + 1 if g < top else top, f + gx) for g, f in state[:i]])
+                if fx:
+                    # the budget fell: cap g again (a state now dead drops out next layer)
+                    above = tuple([(g if g < top else top, f) for g, f in state[i + 1 :]])
+                else:
+                    above = state[i + 1 :]
+                key = (k - budget, below + above)
+                after[key] = after.get(key, 0) + ways
+        layer = after
+        if progress is not None:
+            progress(done, n)
+    return sum(ways for (count, _), ways in layer.items() if count == k)
+
+
+def _count_block(args: tuple[int, int, tuple[int, ...], int]) -> int:
     """Exactly-k count over permutations with a fixed first value."""
     n, first, pattern, k = args
     rest = [v for v in range(1, n + 1) if v != first]
@@ -48,135 +106,6 @@ def _count_block(args: _Job) -> int:
     return total
 
 
-def _pruned_block(args: _Job) -> int:
-    """Exactly-k count over permutations with a fixed first value, by prefix search.
-
-    Appending x to a prefix adds the occurrences whose last pattern slot is
-    x. They are counted by fixing the last slot to x and matching the
-    earlier slots left to right in the prefix, each bounded by the closest
-    already-fixed slots below and above it in value, as count_occurrences
-    does. The count stops once it exceeds what the prefix may still add.
-    """
-    n, first, pattern, k = args
-    m = len(pattern)
-    lo_slot: list[int | None] = []
-    hi_slot: list[int | None] = []
-    for s in range(m - 1):
-        fixed = [m - 1, *range(s)]
-        below = [f for f in fixed if pattern[f] < pattern[s]]
-        above = [f for f in fixed if pattern[f] > pattern[s]]
-        lo_slot.append(max(below, key=pattern.__getitem__) if below else None)
-        hi_slot.append(min(above, key=pattern.__getitem__) if above else None)
-    prefix: list[int] = []
-    chosen = [0] * m
-    top = n + 1
-
-    def extend(s: int, start: int, budget: int) -> int:
-        # Matches of slots s..m-2 at prefix positions >= start; stops once past budget.
-        lo = chosen[lo_slot[s]] if lo_slot[s] is not None else 0
-        hi = chosen[hi_slot[s]] if hi_slot[s] is not None else top
-        last = len(prefix) - (m - 1 - s)
-        total = 0
-        if s == m - 2:
-            for pos in range(start, last + 1):
-                if lo < prefix[pos] < hi:
-                    total += 1
-                    if total > budget:
-                        break
-            return total
-        for pos in range(start, last + 1):
-            v = prefix[pos]
-            if lo < v < hi:
-                chosen[s] = v
-                total += extend(s + 1, pos + 1, budget - total)
-                if total > budget:
-                    break
-        return total
-
-    def ending_at(x: int, budget: int) -> int:
-        if m <= 1:
-            # the empty pattern ends nowhere; the pattern 1 ends once at x
-            return m
-        chosen[-1] = x
-        return extend(0, 0, budget)
-
-    def grow(rest: tuple[int, ...], count: int) -> int:
-        if not rest:
-            return 1 if count == k else 0
-        total = 0
-        for i, x in enumerate(rest):
-            now = count + ending_at(x, k - count)
-            if now <= k:
-                prefix.append(x)
-                total += grow(rest[:i] + rest[i + 1 :], now)
-                prefix.pop()
-        return total
-
-    # the empty pattern occurs once in every sequence, the empty one included
-    count = ending_at(first, k) if m else 1
-    if count > k:
-        return 0
-    prefix.append(first)
-    return grow(tuple(v for v in range(1, n + 1) if v != first), count)
-
-
-def _sum_blocks(
-    block: Callable[[_Job], int],
-    n: int,
-    pattern: Permutation,
-    k: int,
-    cap: int,
-    threads: int,
-    progress: Callable[[int, int], None] | None,
-) -> int:
-    """Sum `block` over the first values 1..n, across processes when threads > 1."""
-    _check(n, cap)
-    if k < 0:
-        raise InvalidRange(f"need k >= 0, got {k}")
-    if n == 0:
-        return 1 if count_occurrences((), pattern.values) == k else 0
-    jobs = [(n, first, pattern.values, k) for first in range(1, n + 1)]
-    total = 0
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(threads, len(jobs))) as pool:
-            for done, part in enumerate(pool.imap(block, jobs), start=1):
-                total += part
-                if progress is not None:
-                    progress(done, n)
-    else:
-        for done, job in enumerate(jobs, start=1):
-            total += block(job)
-            if progress is not None:
-                progress(done, n)
-    return total
-
-
-def pruned_count_exactly_k(
-    n: int,
-    pattern: Permutation,
-    k: int,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-    threads: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> int:
-    """Number of n-permutations with exactly k occurrences of `pattern`.
-
-    Exhaustive depth-first search over prefixes that drops a prefix once it
-    has more than k occurrences; exact at any k and for any pattern, and
-    checked against brute_count_exactly_k. The work is partitioned by first
-    value, across processes when threads > 1, and the partial counts are
-    summed, so the result does not depend on threads. `progress(done, total)`
-    is invoked after each first-value partition.
-
-    >>> pruned_count_exactly_k(5, PATTERN_321, 1)
-    27
-    """
-    return _sum_blocks(_pruned_block, n, pattern, k, cap, threads, progress)
-
-
 def brute_count_exactly_k(
     n: int,
     pattern: Permutation,
@@ -184,15 +113,25 @@ def brute_count_exactly_k(
     *,
     cap: int = DEFAULT_ORACLE_CAP,
     threads: int = 1,
-    progress: Callable[[int, int], None] | None = None,
 ) -> int:
     """Number of n-permutations with exactly k occurrences of `pattern`.
 
     Full enumeration of all n! permutations with the naive counter; exact at
-    any k. This is the reference for pruned_count_exactly_k. Partitioning,
-    threads and progress behave as there.
+    any k and for any pattern. This is the reference for count_321_exactly_k.
+    The work is partitioned by first value, across processes when
+    threads > 1, and the partial counts are summed, so the result does not
+    depend on threads.
     """
-    return _sum_blocks(_count_block, n, pattern, k, cap, threads, progress)
+    _check(n, cap, k)
+    if n == 0:
+        return 1 if count_occurrences((), pattern.values) == k else 0
+    jobs = [(n, first, pattern.values, k) for first in range(1, n + 1)]
+    if threads > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(min(threads, len(jobs))) as pool:
+            return sum(pool.imap(_count_block, jobs))
+    return sum(map(_count_block, jobs))
 
 
 def brute_noonan_set(n: int, *, cap: int = DEFAULT_ORACLE_CAP) -> Iterator[Permutation]:

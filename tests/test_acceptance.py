@@ -11,6 +11,7 @@ import time
 from permpat.avoiders import enumerate_avoiders, enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import Decomposition, compose, decompose
 from permpat.catalan import (
+    binomial,
     catalan,
     catalan_table,
     noonan_catalan_form,
@@ -18,7 +19,7 @@ from permpat.catalan import (
     noonan_convolution,
 )
 from permpat.cli import run
-from permpat.oracle import brute_count_exactly_k, brute_noonan_set, pruned_count_exactly_k
+from permpat.oracle import brute_count_exactly_k, brute_noonan_set, count_321_exactly_k
 from permpat.perms import PATTERN_321, Permutation, count_321, count_pattern
 
 
@@ -44,17 +45,28 @@ def test_criterion_1_theorem_end_to_end():
     )
 
 
-def test_pruned_oracle_confirms_the_closed_form_to_n_10():
-    # criterion 1 carried one step past the naive scan's reach
+def test_state_oracle_confirms_the_closed_forms_to_n_30():
+    # criterion 1 carried past the naive scan's reach, and the exactly-two
+    # count conjectured by Noonan and Zeilberger and proved by Fulmek (2003)
+    def exactly_two(n):
+        return (59 * n * n + 117 * n + 100) * binomial(2 * n, n - 4) // (
+            2 * n * (2 * n - 1) * (n + 5)
+        )
+
     start = time.perf_counter()
     mismatches = [
-        (n, got)
-        for n in range(3, 11)
-        if (got := pruned_count_exactly_k(n, PATTERN_321, 1)) != noonan_closed(n)
+        (n, 1, got)
+        for n in [*range(3, 21), 30]
+        if (got := count_321_exactly_k(n, 1, cap=n)) != noonan_closed(n)
+    ]
+    mismatches += [
+        (n, 2, got)
+        for n in range(4, 17)
+        if (got := count_321_exactly_k(n, 2, cap=n)) != exactly_two(n)
     ]
     elapsed = time.perf_counter() - start
     _report(
-        "pruned oracle vs. closed form, n=3..10",
+        "state oracle vs. closed forms, k=1 at n=3..20 and 30, k=2 at n=4..16",
         not mismatches and elapsed < 30.0,
         f"mismatches={mismatches}, {elapsed:.1f}s of 30s",
     )

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import os
 import random
@@ -53,28 +54,55 @@ def test_count_matches_the_naive_counter(invoke, pattern):
         assert out == f"{count_occurrences(vals, values)}\n"
 
 
+@contextlib.contextmanager
+def _fails_after(seconds, what):
+    # SIGALRM turns a hang into a test failure instead of a stuck run.
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"{what} ran past {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_count_321_is_fast_at_n_3000(invoke):
     vals = list(range(1, 3001))
     random.Random(3).shuffle(vals)
     text = " ".join(map(str, vals))
 
     # The generic counter would run for hours here; the alarm makes it fail.
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(10)
-    try:
+    with _fails_after(10, "count at n = 3000"):
         start = time.perf_counter()
         code, out, _ = invoke("count", "--perm", text)
         elapsed = time.perf_counter() - start
-    except TimeoutError:
-        pytest.fail("count at n = 3000 ran past 10 s", pytrace=False)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0 and int(out) > 0
     assert elapsed < 1.0, f"count at n = 3000 took {elapsed:.2f} s"
+
+
+def test_count_caps_the_generic_counter(invoke):
+    # binom(1000, 4) steps would take the generic counter days; the cap
+    # refuses before it starts, and the alarm makes a missing cap fail.
+    rng = random.Random(2413)
+
+    def perm(n):
+        vals = list(range(1, n + 1))
+        rng.shuffle(vals)
+        return " ".join(map(str, vals))
+
+    with _fails_after(10, "count of 2 4 1 3 at n = 1000"):
+        code, out, err = invoke("count", "--perm", perm(1000), "--pattern", "2 4 1 3")
+    assert (code, out) == (1, "")
+    assert err.startswith("CapExceeded: a pattern of length 4 in a permutation of length 1000")
+    text = perm(400)
+    code, out, err = invoke("count", "--perm", text, "--pattern", "2 1 3")
+    assert (code, err) == (0, "")
+    assert out == f"{count_occurrences([int(v) for v in text.split()], (2, 1, 3))}\n"
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
@@ -263,8 +291,9 @@ def test_threads_leave_output_identical(invoke):
 
 
 def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
-    # --threads is accepted by every family, but only noonan and the oracle
-    # use a process pool; -S keeps site from importing multiprocessing itself.
+    # --threads is accepted by every family and by the oracle, but only the
+    # one-321 stream uses a process pool; -S keeps site from importing
+    # multiprocessing itself.
     code = (
         "import sys\n"
         "from permpat.cli import run\n"
@@ -277,6 +306,8 @@ def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
         ("enumerate", "--family", "avoiders", "--n", "7"),
         ("enumerate", "--family", "sigma1", "--b", "7"),
         ("enumerate", "--family", "sigma2", "--b", "2", "--n", "8"),
+        ("oracle", "--n", "7"),
+        ("noonan", "--n", "7", "--method", "oracle"),
     ]
     for argv in families:
         base = invoke(*argv, "--threads", "1")
@@ -297,7 +328,7 @@ def test_progress_goes_to_stderr_only(invoke):
     chatty = invoke("oracle", "--n", "5", "--progress")
     assert chatty[0] == 0
     assert chatty[1] == quiet[1]
-    assert "first values done" in chatty[2]
+    assert "positions done" in chatty[2]
 
 
 # --- error handling -----------------------------------------------------
@@ -350,6 +381,6 @@ def test_oracle_warns_before_a_long_run(capsys):
     from permpat.cli import _oracle_cap
 
     assert _oracle_cap(argparse.Namespace(n=11, cap=11)) == 11
-    assert "minutes" in capsys.readouterr().err
+    assert "per step of n" in capsys.readouterr().err
     assert _oracle_cap(argparse.Namespace(n=9, cap=None)) == 10
     assert capsys.readouterr().err == ""

@@ -9,17 +9,14 @@ import pytest
 import permpat.oracle
 from permpat.catalan import catalan
 from permpat.errors import CapExceeded, InvalidRange
-from permpat.oracle import brute_count_exactly_k, brute_noonan_set, pruned_count_exactly_k
+from permpat.oracle import brute_count_exactly_k, brute_noonan_set, count_321_exactly_k
 from permpat.perms import PATTERN_321, Permutation, count_occurrences
 
-CROSS_CHECK_PATTERNS = [
-    (1,),
-    (1, 2),
-    (2, 1),
-    *itertools.permutations((1, 2, 3)),
-    (2, 4, 1, 3),
-    (1, 3, 4, 2),
-]
+
+def _state_count(n, pattern, k, **kw):
+    # count_321_exactly_k behind brute_count_exactly_k's signature
+    assert pattern == PATTERN_321
+    return count_321_exactly_k(n, k, **kw)
 
 
 def test_exactly_k_examples():
@@ -31,6 +28,8 @@ def test_exactly_k_examples():
 def test_k_zero_recovers_catalan():
     for n in range(8):
         assert brute_count_exactly_k(n, PATTERN_321, 0) == catalan(n)
+    for n in range(15):
+        assert count_321_exactly_k(n, 0, cap=n) == catalan(n)
 
 
 def test_k_zero_recovers_catalan_at_full_oracle_scale():
@@ -55,20 +54,20 @@ def test_other_patterns_are_supported():
 def test_degenerate_sizes():
     empty = Permutation(())
     one = Permutation((1,))
-    for count in (brute_count_exactly_k, pruned_count_exactly_k):
-        # n = 0, and the empty pattern, which occurs once in every sequence
+    # the empty pattern occurs once in every sequence, the empty one included
+    assert brute_count_exactly_k(0, empty, 1) == 1
+    assert brute_count_exactly_k(4, empty, 1) == 24
+    assert brute_count_exactly_k(4, empty, 0) == 0
+    # a length-1 pattern occurs once per position
+    assert brute_count_exactly_k(5, one, 5) == 120
+    assert brute_count_exactly_k(5, one, 4) == 0
+    for count in (brute_count_exactly_k, _state_count):
+        # n = 0, and n below the pattern length: nothing occurs
         assert count(0, PATTERN_321, 0) == 1
         assert count(0, PATTERN_321, 1) == 0
-        assert count(0, empty, 1) == 1
-        assert count(4, empty, 1) == 24
-        assert count(4, empty, 0) == 0
-        # n below the pattern length: nothing occurs
         assert count(1, PATTERN_321, 0) == 1
         assert count(2, PATTERN_321, 0) == 2
         assert count(2, PATTERN_321, 1) == 0
-        # a length-1 pattern occurs once per position
-        assert count(5, one, 5) == 120
-        assert count(5, one, 4) == 0
 
 
 def test_noonan_set_examples():
@@ -92,8 +91,8 @@ def test_noonan_set_is_lexicographic():
 
 
 def test_caps_and_ranges():
-    for count in (brute_count_exactly_k, pruned_count_exactly_k):
-        with pytest.raises(CapExceeded, match="over 11! permutations exceeds the cap 10"):
+    for count in (brute_count_exactly_k, _state_count):
+        with pytest.raises(CapExceeded, match="at n = 11 exceeds the cap 10"):
             count(11, PATTERN_321, 1)
         with pytest.raises(CapExceeded, match="exceeds the cap 4"):
             count(5, PATTERN_321, 1, cap=4)
@@ -111,31 +110,23 @@ def test_threads_do_not_change_the_count():
         assert brute_count_exactly_k(6, PATTERN_321, k, threads=3) == brute_count_exactly_k(
             6, PATTERN_321, k
         )
-    cases = [(PATTERN_321, 0), (PATTERN_321, 1), (PATTERN_321, 3), (Permutation((2, 4, 1, 3)), 2)]
-    for pattern, k in cases:
-        pooled = pruned_count_exactly_k(7, pattern, k, threads=3)
-        assert pooled == pruned_count_exactly_k(7, pattern, k), (pattern, k)
 
 
-def test_progress_callback_runs_once_per_first_value():
-    runs = [(brute_count_exactly_k, 1), (pruned_count_exactly_k, 1), (pruned_count_exactly_k, 2)]
-    for count, threads in runs:
-        seen = []
-        count(5, PATTERN_321, 1, threads=threads, progress=lambda d, t: seen.append((d, t)))
-        assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)], (count.__name__, threads)
+def test_progress_callback_runs_once_per_position():
+    seen = []
+    count_321_exactly_k(5, 1, progress=lambda d, t: seen.append((d, t)))
+    assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
 
 
-@pytest.mark.parametrize("pattern", CROSS_CHECK_PATTERNS, ids=lambda p: "".join(map(str, p)))
-def test_pruned_equals_the_naive_scan_for_every_k(pattern):
-    p = Permutation(pattern)
-    for n in range(7):
-        for k in range(math.comb(n, len(pattern)) + 2):
-            assert pruned_count_exactly_k(n, p, k) == brute_count_exactly_k(n, p, k), (n, k)
-    # n = 7: one naive pass tallies every k at once, as the n! scan counts them
-    tally = Counter(count_occurrences(v, pattern) for v in itertools.permutations(range(1, 8)))
-    assert brute_count_exactly_k(7, p, 1) == tally[1]
-    for k in range(math.comb(7, len(pattern)) + 2):
-        assert pruned_count_exactly_k(7, p, k) == tally[k], k
+def test_state_count_equals_a_naive_tally_for_every_k():
+    for n in range(8):
+        # one naive pass tallies every k at once, as the n! scan counts them
+        tally = Counter(
+            count_occurrences(v, PATTERN_321.values) for v in itertools.permutations(range(1, n + 1))
+        )
+        for k in range(math.comb(n, 3) + 2):
+            assert count_321_exactly_k(n, k) == tally[k], (n, k)
+    assert brute_count_exactly_k(7, PATTERN_321, 1) == tally[1]
 
 
 def test_oracle_is_independent_of_the_optimized_paths():

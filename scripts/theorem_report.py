@@ -7,7 +7,7 @@ For each n up to --max-oracle the count is computed six ways and compared:
   states       exhaustive count over prefix states (oracle.count_321_exactly_k)
   bijection    enumerate (b, sigma1, sigma2) triples and compose each one
   closed       (3/n) * binom(2n, n+3)
-  catalan      C_{n+2} - 4 C_{n+1} + 3 C_n from the recurrence-built table
+  catalan      C_{n+2} - 4 C_{n+1} + 3 C_n from the ballot-triangle table
   convolution  sum over b of (C_b - C_{b-1})(C_{n-b+1} - C_{n-b})
 
 Above the brute-force range the three exact formulas are checked against

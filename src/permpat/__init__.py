@@ -8,22 +8,10 @@ prefix states, checked against a naive n! scan) that checks all of it from
 first principles.
 """
 
-from .avoiders import (
-    DEFAULT_CAP,
-    enumerate_avoiders,
-    enumerate_sigma1,
-    enumerate_sigma2,
-    is_avoiding_321,
-)
-from .bijection import (
-    Decomposition,
-    compose,
-    decompose,
-    enumerate_noonan,
-    format_decomposition,
-    parse_decomposition,
-    validate_decomposition,
-)
+# `catalan` loads eagerly, and before anything else can import it: importing
+# a submodule binds the package attribute of the same name to the module, and
+# the function catalan() must own that name. Importing an already-loaded
+# submodule leaves the attribute alone. `errors` comes with it.
 from .catalan import (
     binomial,
     catalan,
@@ -44,37 +32,69 @@ from .errors import (
     NotAPermutation,
     NoUnique321,
 )
-from .perms import (
-    PATTERN_321,
-    Occurrence321,
-    Permutation,
-    ValueSequence,
-    count_321,
-    count_321_fenwick,
-    count_occurrences,
-    count_pattern,
-    find_unique_321,
-    from_one_line,
-    parse_one_line,
-    parse_value_sequence,
-    standardize,
-)
 
 __version__ = "0.1.0"
 
-# The oracle loads on first use: of the CLI commands, each a fresh process,
-# only the two oracle ones need it.
-_ORACLE_NAMES = frozenset(
-    ("DEFAULT_ORACLE_CAP", "brute_count_exactly_k", "brute_noonan_set", "count_321_exactly_k")
-)
+# Every other module loads on first use of one of its names (or of the
+# module itself): each CLI call is a fresh process, and most commands need
+# none of them.
+_LAZY = {
+    "avoiders": (
+        "DEFAULT_CAP",
+        "enumerate_avoiders",
+        "enumerate_sigma1",
+        "enumerate_sigma2",
+        "is_avoiding_321",
+    ),
+    "bijection": (
+        "Decomposition",
+        "compose",
+        "decompose",
+        "enumerate_noonan",
+        "format_decomposition",
+        "parse_decomposition",
+        "validate_decomposition",
+    ),
+    "oracle": (
+        "DEFAULT_ORACLE_CAP",
+        "brute_count_exactly_k",
+        "brute_noonan_set",
+        "count_321_exactly_k",
+    ),
+    "perms": (
+        "PATTERN_321",
+        "Occurrence321",
+        "Permutation",
+        "ValueSequence",
+        "count_321",
+        "count_321_fenwick",
+        "count_occurrences",
+        "count_pattern",
+        "find_unique_321",
+        "from_one_line",
+        "parse_one_line",
+        "parse_value_sequence",
+        "standardize",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str) -> object:
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    module = _HOME.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = import_module(f".{module}", __name__)
+    if module == name:
+        return loaded
+    value = globals()[name] = getattr(loaded, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_HOME})
 
 
 __all__ = [

@@ -56,10 +56,13 @@ def is_avoiding_321(seq: Permutation | ValueSequence | Sequence[int]) -> bool:
     return True
 
 
-def _avoiders(m: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
+def _avoiders(
+    m: int, first: int | None = None, *, max_last: bool = True
+) -> Iterator[tuple[int, ...]]:
     """All 321-avoiding arrangements of 1..m, lexicographically.
 
-    With `first` given, only those starting with that value.
+    With `first` given, only those starting with that value. With
+    `max_last` false (m >= 2, no `first`), only those not ending with m.
     """
     if m == 0:
         yield ()
@@ -71,6 +74,10 @@ def _avoiders(m: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
         a.insert(0, first)
         fixed = 1
     while True:
+        if not max_last and a[-1] == m:
+            # For m >= 2 an avoider ending with m is never the last one, and
+            # its successor swaps its last two values.
+            a[-2], a[-1] = m, a[-2]
         yield tuple(a)
         # Positions from that of m onwards hold forced values; the one just
         # before it takes its next candidate, and the rest restarts smallest.
@@ -108,7 +115,7 @@ def _sigma1_tuples(b: int, cap: int) -> Iterator[tuple[int, ...]]:
     if b < 2:
         raise InvalidRange(f"the middle value b must be at least 2, got {b}")
     _check_cap(b, cap, "left-factor generation")
-    return _checked((vals for vals in _avoiders(b) if vals[-1] != b), 1, b)
+    return _checked(_avoiders(b, max_last=False), 1, b)
 
 
 def _sigma2_tuples(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:

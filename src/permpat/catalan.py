@@ -8,11 +8,16 @@ agree exactly:
 - Catalan form: C_{n+2} - 4 C_{n+1} + 3 C_n
 - convolution:  sum over b = 2..n-1 of (C_b - C_{b-1}) (C_{n-b+1} - C_{n-b})
 
-The Catalan form and the convolution read C_0..C_N from a table built with
-the recurrence C_m = sum C_i C_{m-1-i}, independently of the closed form.
-That sum is symmetric in i <-> m-1-i, and so is the convolution's, so each
-is taken over half the range: twice the sum over the first half of the
-products, plus the middle square when the number of terms is odd.
+The Catalan form and the convolution read C_0..C_N from a table built
+from the Catalan (ballot) triangle, independently of the closed form: row
+m holds the ballot numbers T(m, k) = T(m, k-1) + T(m-1, k) for k = 0..m,
+so each row is the running sum of the one before it with a 0 appended,
+and C_m = T(m, m) is its last entry. That costs about N^2/2 big-integer
+additions and no products. The table stops at C_TABLE_CAP: its cost still
+grows about as N^3 in bit operations. The convolution's sum is symmetric
+in b <-> n+1-b, so it is taken over half the range: twice the sum over the
+first half of the products, plus the middle square when the number of
+terms is odd.
 
 Everything is plain Python integer arithmetic, hence exact at any size.
 """
@@ -22,8 +27,14 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Iterator
+from itertools import accumulate
 
-from .errors import InvalidRange, NonIntegerResult
+from .errors import CapExceeded, InvalidRange, NonIntegerResult
+
+# The largest n the Catalan table is built to; C_0..C_5000 take about 4 s
+# cold on a 2-core Xeon VM, and the cost grows about as N^3.
+TABLE_CAP = 5000
 
 
 def binomial(n: int, k: int) -> int:
@@ -65,28 +76,39 @@ def _self_convolution(a: list[int]) -> int:
     return total
 
 
-# Catalan prefix built with the convolution recurrence C_m = sum C_i C_{m-1-i}.
-# Grows monotonically and is only ever appended to, so readers may index into
-# it without the lock once _extend has guaranteed the length.
-_recurrence_table: list[int] = [1]
+# C_0..C_N from the ballot triangle, and the triangle's last row (row N,
+# ending in C_N). The table only ever grows, so readers may index into it
+# without the lock once _extend has guaranteed the length; the row is read
+# and replaced only under the lock.
+_table: list[int] = [1]
+_row: list[int] = [1]
 _table_lock = threading.Lock()
 
 
 def _extend(max_n: int) -> list[int]:
-    table = _recurrence_table
+    global _row
+    table = _table
     if len(table) <= max_n:
+        if max_n > TABLE_CAP:
+            raise CapExceeded(
+                f"the Catalan table stops at C_{TABLE_CAP}; C_{max_n} was asked for "
+                f"(its cost grows about as N^3)"
+            )
         with _table_lock:
             while len(table) <= max_n:
-                table.append(_self_convolution(table))
+                _row = list(accumulate(_row + [0]))
+                table.append(_row[-1])
     return table
 
 
 def catalan_table(max_n: int) -> tuple[int, ...]:
-    """C_0..C_max_n computed by the convolution recurrence.
+    """C_0..C_max_n from the Catalan (ballot) triangle, for max_n <= TABLE_CAP.
 
-    The symmetric half-sum makes the table up to N cost about N^2/4
-    big-integer products instead of N^2/2. Independent of catalan(); the
-    two routes are cross-checked in tests.
+    Each row of the triangle is the running sum of the previous row with a
+    0 appended, and C_m ends row m, so the table up to N costs about N^2/2
+    big-integer additions. It grows incrementally across calls. Independent
+    of catalan(); the two routes are cross-checked in tests. Past TABLE_CAP
+    it raises CapExceeded.
 
     >>> catalan_table(5)
     (1, 1, 2, 5, 14, 42)
@@ -112,10 +134,32 @@ def noonan_closed(n: int) -> int:
     return q
 
 
+def _noonan_closed_stream(max_n: int) -> Iterator[int]:
+    """noonan_closed(n) for n = 1..max_n, with binom(2n, n+3) walked by ratios.
+
+    binom(2n, n+3) = binom(2n-2, n+2) (2n-1)(2n) / ((n+3)(n-3)) for n >= 4,
+    so each term costs one product and two divisions by machine-size
+    integers instead of a fresh binomial. Both divisions are checked.
+    """
+    binom = 1  # binom(2n, n+3) at n = 3
+    for n in range(1, max_n + 1):
+        if n < 3:
+            yield 0
+            continue
+        if n > 3:
+            binom, r = divmod(binom * ((2 * n - 1) * 2 * n), (n + 3) * (n - 3))
+            if r:
+                raise NonIntegerResult(f"binom(2n, n+3) step not exact at n={n}")
+        q, r = divmod(3 * binom, n)
+        if r:
+            raise NonIntegerResult(f"3*binom(2n, n+3) not divisible by n at n={n}")
+        yield q
+
+
 def noonan_catalan_form(n: int) -> int:
     """The one-321 count as C_{n+2} - 4 C_{n+1} + 3 C_n.
 
-    Evaluated from the recurrence-built table, so it is an independent route
+    Evaluated from the ballot-triangle table, so it is an independent route
     from noonan_closed.
     """
     if n < 1:

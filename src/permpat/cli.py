@@ -15,15 +15,8 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from itertools import islice
 
-from .avoiders import DEFAULT_CAP, _avoider_tuples, _sigma1_tuples, _sigma2_tuples
-from .bijection import (
-    Decomposition,
-    _noonan_tuples,
-    compose,
-    decompose,
-    format_decomposition,
-)
 from .catalan import (
+    _noonan_closed_stream,
     binomial,
     catalan,
     catalan_table,
@@ -32,13 +25,10 @@ from .catalan import (
     noonan_convolution,
 )
 from .errors import CapExceeded, DomainError, InternalConstraintViolation, InvalidRange
-from .perms import (
-    PATTERN_321,
-    count_321_fenwick,
-    count_pattern,
-    parse_one_line,
-    parse_value_sequence,
-)
+
+# `catalan` and `errors` load with the package. Each CLI call is a fresh
+# process, so every other module is imported by the handlers that need it:
+# the formula commands load nothing more, `count` only `perms`.
 
 
 _BATCH = 1000
@@ -47,6 +37,9 @@ _BATCH = 1000
 # every one is an occurrence (the identity against 1 2 3), 3-4 s on random
 # inputs, on a 2-core Xeon VM.
 _COUNT_WORK_CAP = 10**8
+# `verify` refuses larger N: its per-n convolutions take about 4 s at
+# N = 2000 on a 2-core Xeon VM, and their cost grows about as N^3.
+_VERIFY_CAP = 2000
 
 
 class UsageError(Exception):
@@ -130,6 +123,8 @@ def _add_work_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .perms import PATTERN_321, count_321_fenwick, count_pattern, parse_one_line
+
     perm = parse_one_line(args.perm)
     pattern = parse_one_line(args.pattern)
     # 321 has an O(n log n) counter; the generic one costs a step per occurrence.
@@ -168,8 +163,6 @@ def _oracle_progress(args: argparse.Namespace) -> Callable[[int, int], None] | N
 
 
 def _oracle_count(args: argparse.Namespace, k: int) -> int:
-    # Imported on use: each CLI call is a fresh process, and only the two
-    # oracle commands need this module.
     from .oracle import count_321_exactly_k
 
     return count_321_exactly_k(args.n, k, cap=_oracle_cap(args), progress=_oracle_progress(args))
@@ -203,6 +196,9 @@ def _cmd_noonan(args: argparse.Namespace) -> int:
     elif args.method == "oracle":
         value = _oracle_count(args, 1)
     else:
+        from .avoiders import DEFAULT_CAP
+        from .bijection import _noonan_tuples
+
         cap = args.cap if args.cap is not None else DEFAULT_CAP
         value = sum(1 for _ in _noonan_tuples(args.n, cap, args.threads))
     print(value)
@@ -210,6 +206,11 @@ def _cmd_noonan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n > _VERIFY_CAP:
+        raise CapExceeded(
+            f"verify --max-n {args.max_n} is above the cap {_VERIFY_CAP}: its per-n "
+            f"convolutions grow about as N^3 (about 4 s at N = {_VERIFY_CAP})"
+        )
     failures = 0
     total = 0
     for n in range(3, args.max_n + 1):
@@ -227,6 +228,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .avoiders import DEFAULT_CAP, _avoider_tuples, _sigma1_tuples, _sigma2_tuples
+
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     family = args.family
     if family in ("avoiders", "sigma2", "noonan") and args.n is None:
@@ -244,6 +247,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         stream, top = _sigma2_tuples(b, n, cap), n
         expected = catalan(n - b + 1) - catalan(n - b)
     else:
+        from .bijection import _noonan_tuples
+
         stream, top = _noonan_tuples(n, cap, args.threads), n
         expected = noonan_closed(n) if n else 0
     _print_stream(stream, top, expected, args.progress)
@@ -251,11 +256,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .bijection import decompose, format_decomposition
+    from .perms import parse_one_line
+
     print(format_decomposition(decompose(parse_one_line(args.perm))))
     return 0
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
+    from .bijection import Decomposition, compose
+    from .perms import parse_one_line, parse_value_sequence
+
     sigma1 = parse_one_line(args.sigma1)
     sigma2 = parse_value_sequence(args.sigma2)
     n = max(sigma2.values) if sigma2.values else args.b
@@ -275,8 +286,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     else:
         if args.max_n < 0:
             raise InvalidRange(f"seq requires max_n >= 0, got {args.max_n}")
-        for n in range(1, args.max_n + 1):
-            print(n, noonan_closed(n))
+        for n, value in enumerate(_noonan_closed_stream(args.max_n), 1):
+            print(n, value)
     return 0
 
 

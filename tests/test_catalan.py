@@ -1,8 +1,12 @@
+import importlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from permpat.catalan import (
+    TABLE_CAP,
+    _noonan_closed_stream,
     binomial,
     catalan,
     catalan_table,
@@ -10,7 +14,7 @@ from permpat.catalan import (
     noonan_closed,
     noonan_convolution,
 )
-from permpat.errors import InvalidRange
+from permpat.errors import CapExceeded, InvalidRange
 
 CATALAN_PREFIX = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 742900, 2674440)
 ONE_321_COUNTS = {3: 1, 4: 6, 5: 27, 6: 110, 7: 429, 8: 1638, 9: 6188, 10: 23256}
@@ -44,13 +48,15 @@ def test_catalan_prefix():
 def test_catalan_table_matches_closed_form():
     assert catalan_table(0) == (1,)
     assert catalan_table(5) == (1, 1, 2, 5, 14, 42)
-    table = catalan_table(300)
-    assert all(table[n] == catalan(n) for n in range(301))
+    table = catalan_table(2000)
+    assert len(table) == 2001
+    assert all(table[n] == catalan(n) for n in range(2001))
 
 
 def test_half_sums_match_the_full_sums():
-    # The table and the convolution sum half the products by symmetry;
-    # these are the plain sums over every term, odd and even lengths alike.
+    # The plain recurrence C_m = sum C_i C_{m-1-i} checks the triangle-built
+    # table, and the plain sum over every term checks the convolution's
+    # half-sum, odd and even lengths alike.
     full = [1]
     for m in range(1, 301):
         full.append(sum(full[i] * full[m - 1 - i] for i in range(m)))
@@ -59,6 +65,41 @@ def test_half_sums_match_the_full_sums():
         assert noonan_convolution(n) == sum(
             (full[b] - full[b - 1]) * (full[n - b + 1] - full[n - b]) for b in range(2, n)
         )
+
+
+def test_table_grown_in_steps_equals_the_table_built_at_once(monkeypatch):
+    module = importlib.import_module("permpat.catalan")
+
+    def fresh():
+        monkeypatch.setattr(module, "_table", [1])
+        monkeypatch.setattr(module, "_row", [1])
+
+    fresh()
+    steps = [catalan_table(n) for n in (0, 10, 500)]
+    stepped_row = module._row
+    fresh()
+    at_once = catalan_table(500)
+    assert steps[-1] == at_once
+    assert steps[:2] == [at_once[:1], at_once[:11]]
+    # The kept row is row 500 of the triangle, ending in C_500, either way.
+    assert stepped_row == module._row
+    assert len(stepped_row) == 501 and stepped_row[-1] == at_once[-1]
+
+
+def test_table_routes_refuse_sizes_past_the_cap():
+    # The cap is checked before any row is built.
+    with pytest.raises(CapExceeded):
+        catalan_table(TABLE_CAP + 1)
+    with pytest.raises(CapExceeded):
+        noonan_catalan_form(TABLE_CAP - 1)  # needs C_{n+2}
+    with pytest.raises(CapExceeded):
+        noonan_convolution(TABLE_CAP + 2)  # needs C_{n-1}
+
+
+def test_streamed_closed_form_equals_noonan_closed_to_2000():
+    assert list(_noonan_closed_stream(0)) == []
+    assert list(_noonan_closed_stream(3)) == [0, 0, 1]
+    assert list(_noonan_closed_stream(2000)) == [noonan_closed(n) for n in range(1, 2001)]
 
 
 def test_negative_arguments_rejected():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from permpat import cli
+from permpat import avoiders, bijection
 from permpat.avoiders import enumerate_avoiders, enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import Decomposition, compose
 from permpat.catalan import noonan_closed
@@ -114,6 +114,49 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+_LAZY_MODULES = ("permpat.avoiders", "permpat.bijection", "permpat.oracle", "permpat.perms")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("seq", "--what", "catalan", "--max-n", "5"), []),
+        (("seq", "--what", "noonan", "--max-n", "5"), []),
+        (("noonan", "--n", "8"), []),
+        (("noonan", "--n", "8", "--method", "catalan"), []),
+        (("noonan", "--n", "8", "--method", "convolution"), []),
+        (("verify", "--max-n", "8"), []),
+        (("count", "--perm", "3 2 1 4"), ["permpat.perms"]),
+    ],
+)
+def test_commands_load_only_the_modules_they_need(argv, loaded):
+    # Each call is a fresh process; -S keeps site and any .pth file from
+    # importing modules on their own.
+    code = (
+        "import sys\n"
+        "from permpat.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        f"print(sorted(m for m in {_LAZY_MODULES!r} if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == f"{loaded}\n"
+
+
+def test_table_routes_fail_fast_past_their_caps(invoke):
+    # Without the caps each would run for about a minute; the alarm turns a
+    # missing cap into a failure instead of a stuck run.
+    for argv in (("seq", "--what", "catalan", "--max-n", "10000"), ("verify", "--max-n", "5000")):
+        with _fails_after(2, " ".join(argv)):
+            code, out, err = invoke(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("CapExceeded: ")
 
 
 def test_noonan_default_method(invoke):
@@ -246,8 +289,11 @@ def _repeat_first(tuples):
     ],
 )
 def test_stream_checks_its_length_at_the_end(invoke, monkeypatch, generator, argv, change):
-    original = getattr(cli, generator)
-    monkeypatch.setattr(cli, generator, lambda *args: change(original(*args)))
+    # The handler imports its generator on each call, so the patch goes on
+    # the module that defines it.
+    module = bijection if generator == "_noonan_tuples" else avoiders
+    original = getattr(module, generator)
+    monkeypatch.setattr(module, generator, lambda *args: change(original(*args)))
     code, out, err = invoke("enumerate", "--family", *argv)
     assert code == 1
     assert out  # the lines went out before the count was known

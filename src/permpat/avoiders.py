@@ -13,23 +13,32 @@ one-line notation. An avoider's prefix continues only with the smallest
 unused value or with a value above the prefix maximum: any other value below
 the maximum would form a 321 with the maximum before it and the smaller
 unused value still to come. Both kinds of step keep the prefix extendable,
-so the search has no dead ends, and generation steps from each avoider
-straight to its lexicographic successor, as in the constant-amortized-time
-Catalan generators of Knuth, TAOCP 4A §7.2.1.6. Every value from the
-maximum onwards is forced; the value just before the maximum becomes one
-more than the largest value so far, and the unused values follow in
-increasing order. Every generated tuple is checked to hold exactly the
-values of its family before it is wrapped or printed.
+so the search has no dead ends.
+
+How a prefix can be completed depends only on its ballot state: r unused
+values, s of them below the prefix maximum. There are
+(s+1)/(r+1) binom(2r-s, r) completions, and as patterns of ranks among the
+unused values they are the same for every prefix in that state (Ruskey,
+*Combinatorial Generation*; Knuth, TAOCP 4A §7.2.1.6). So generation walks
+the prefixes that leave at most _TAIL values unused, depth first, and reads
+each prefix's completions off a table of rank patterns per state, built on
+first use. Every generated tuple is checked to hold exactly the values of
+its family before it is wrapped or printed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterator, Sequence
+from functools import cache
+from operator import itemgetter
 
 from .errors import CapExceeded, InternalConstraintViolation, InvalidRange
 from .perms import Permutation, ValueSequence
 
 DEFAULT_CAP = 14
+# The last _TAIL positions of every avoider are read off the completion table.
+_TAIL = 7
 
 
 def is_avoiding_321(seq: Permutation | ValueSequence | Sequence[int]) -> bool:
@@ -56,38 +65,61 @@ def is_avoiding_321(seq: Permutation | ValueSequence | Sequence[int]) -> bool:
     return True
 
 
+@cache
+def _tails(k: int, s: int, max_last: bool) -> tuple:
+    """Getters that read every completion of a ballot state off its unused values.
+
+    The state is k unused values, s of them below the prefix maximum. Each
+    getter maps the sorted unused values to one completion, in lexicographic
+    order. Without `max_last`, the completions ending with the largest unused
+    value are dropped. Built on first use.
+    """
+    patterns = _patterns(k, s)
+    if not max_last:
+        patterns = [p for p in patterns if p[-1:] != (k - 1,)]
+    # itemgetter needs two indices to return a tuple; tuple() reads the one
+    # completion of a state with at most one unused value.
+    return tuple(tuple if k <= 1 else itemgetter(*p) for p in patterns)
+
+
+@cache
+def _patterns(k: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The completions of ballot state (k, s) as ranks 0..k-1, lexicographically."""
+    if k == 0:
+        return ((),)
+    # Rank 0 is the smallest unused value; a rank r >= max(s, 1) is a value
+    # above the prefix maximum and becomes the new maximum with r below it.
+    return tuple(
+        (r, *[j + (j >= r) for j in p])
+        for r in (0, *range(max(s, 1), k))
+        for p in _patterns(k - 1, max(s - 1, 0) if r == 0 else r)
+    )
+
+
 def _avoiders(
     m: int, first: int | None = None, *, max_last: bool = True
 ) -> Iterator[tuple[int, ...]]:
     """All 321-avoiding arrangements of 1..m, lexicographically.
 
     With `first` given, only those starting with that value. With
-    `max_last` false (m >= 2, no `first`), only those not ending with m.
+    `max_last` false, only those not ending with m.
     """
-    if m == 0:
-        yield ()
-        return
-    a = list(range(1, m + 1))
-    fixed = 0
-    if first is not None:
-        a.remove(first)
-        a.insert(0, first)
-        fixed = 1
-    while True:
-        if not max_last and a[-1] == m:
-            # For m >= 2 an avoider ending with m is never the last one, and
-            # its successor swaps its last two values.
-            a[-2], a[-1] = m, a[-2]
-        yield tuple(a)
-        # Positions from that of m onwards hold forced values; the one just
-        # before it takes its next candidate, and the rest restarts smallest.
-        p = a.index(m)
-        if p <= fixed:
-            return
-        v = max(a[:p]) + 1
-        rest = sorted(a[p - 1 :])
-        rest.remove(v)
-        a[p - 1 :] = [v, *rest]
+    head = () if first is None else (first,)
+    unused = tuple(v for v in range(1, m + 1) if v != first)
+    k = min(_TAIL, len(unused))
+    # Depth-first over the prefixes that leave k values unused, children
+    # pushed in reverse so that they pop in increasing order.
+    stack = [(head, max(head, default=0), unused)]
+    while stack:
+        prefix, top, unused = stack.pop()
+        s = bisect(unused, top)
+        if len(unused) == k:
+            gets = _tails(k, s, max_last or m not in unused)
+            yield from [prefix + get(unused) for get in gets]
+            continue
+        for i in reversed((0, *range(max(s, 1), len(unused)))):
+            v = unused[i]
+            stack.append((prefix + (v,), max(top, v), unused[:i] + unused[i + 1 :]))
 
 
 def _check_cap(m: int, cap: int, what: str) -> None:

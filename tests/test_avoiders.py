@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,7 @@ from permpat import avoiders
 from permpat.avoiders import (
     _avoiders,
     _checked,
+    _tails,
     enumerate_avoiders,
     enumerate_sigma1,
     enumerate_sigma2,
@@ -16,6 +22,9 @@ from permpat.avoiders import (
 from permpat.catalan import catalan
 from permpat.errors import CapExceeded, InternalConstraintViolation, InvalidRange
 from permpat.perms import Permutation, ValueSequence, count_occurrences
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def one_line(stream):
@@ -131,6 +140,56 @@ def test_avoiders_cap():
     assert sum(1 for _ in enumerate_avoiders(5, cap=5)) == 42
     with pytest.raises(InvalidRange):
         next(enumerate_avoiders(-1))
+
+
+def test_raw_generator_equals_filtering_all_permutations():
+    # The table-read tails and the first-value and last-value restrictions
+    # against a plain filter of every permutation.
+    for m in range(9):
+        filtered = [vals for vals in itertools.permutations(range(1, m + 1)) if is_avoiding_321(vals)]
+        assert list(_avoiders(m)) == filtered
+        assert list(_avoiders(m, max_last=False)) == [v for v in filtered if v[-1:] != (m,)]
+        for f in range(1, m + 1):
+            assert list(_avoiders(m, f)) == [v for v in filtered if v[0] == f]
+
+
+def test_avoiders_of_length_13_are_catalan_many_and_strictly_increasing():
+    count = 0
+    prev = ()
+    for vals in _avoiders(13):
+        assert vals > prev
+        prev = vals
+        count += 1
+    assert count == catalan(13)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_completion_table_holds_the_ballot_many_rank_patterns(k):
+    # State (k, s): k unused values, s of them below the prefix maximum.
+    # Applied to the ranks 0..k-1, each getter returns its pattern.
+    ranks = list(range(k))
+    for s in range(k + 1):
+        patterns = [get(ranks) for get in _tails(k, s, True)]
+        assert len(patterns) == (s + 1) * comb(2 * k - s, k) // (k + 1)
+        assert all(sorted(p) == ranks for p in patterns)
+        assert all(p < q for p, q in zip(patterns, patterns[1:]))
+        without_top = [get(ranks) for get in _tails(k, s, False)]
+        assert without_top == [p for p in patterns if p[-1:] != (k - 1,)]
+
+
+def test_importing_avoiders_builds_no_table():
+    # decompose and compose import this module; the table must cost them nothing.
+    code = (
+        "from permpat.avoiders import _patterns, _tails\n"
+        "from permpat.cli import run\n"
+        "status = run(['decompose', '--perm', '1 4 3 2 5'])\n"
+        "print(status, _tails.cache_info().currsize, _patterns.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "0 0 0"
 
 
 def test_first_value_blocks_concatenate_to_the_full_stream():

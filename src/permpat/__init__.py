@@ -40,11 +40,9 @@ __version__ = "0.1.0"
 # none of them.
 _LAZY = {
     "avoiders": (
-        "DEFAULT_CAP",
         "enumerate_avoiders",
         "enumerate_sigma1",
         "enumerate_sigma2",
-        "is_avoiding_321",
     ),
     "bijection": (
         "Decomposition",
@@ -62,6 +60,7 @@ _LAZY = {
         "count_321_exactly_k",
     ),
     "perms": (
+        "DEFAULT_CAP",
         "PATTERN_321",
         "Occurrence321",
         "Permutation",
@@ -72,6 +71,7 @@ _LAZY = {
         "count_pattern",
         "find_unique_321",
         "from_one_line",
+        "is_avoiding_321",
         "parse_one_line",
         "parse_value_sequence",
         "standardize",

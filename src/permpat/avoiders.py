@@ -29,40 +29,17 @@ its family before it is wrapped or printed.
 from __future__ import annotations
 
 from bisect import bisect
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from functools import cache
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalConstraintViolation, InvalidRange
-from .perms import Permutation, ValueSequence
+# is_avoiding_321 lives in perms, so that decompose and compose need not load
+# this module; it is still importable from here.
+from .perms import DEFAULT_CAP, Permutation, ValueSequence, is_avoiding_321
 
-DEFAULT_CAP = 14
 # The last _TAIL positions of every avoider are read off the completion table.
 _TAIL = 7
-
-
-def is_avoiding_321(seq: Permutation | ValueSequence | Sequence[int]) -> bool:
-    """True iff the sequence contains no 321 occurrence.
-
-    Avoidance depends only on the relative order of the values, so any
-    sequence of distinct integers is accepted.
-
-    >>> is_avoiding_321((2, 4, 1, 3))
-    True
-    >>> is_avoiding_321((3, 2, 1))
-    False
-    """
-    values = getattr(seq, "values", seq)
-    m1 = 0  # prefix maximum
-    m2 = 0  # largest value with a larger value before it
-    for v in values:
-        if v < m2:
-            return False
-        if v > m1:
-            m1 = v
-        else:
-            m2 = v
-    return True
 
 
 @cache

@@ -25,18 +25,19 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterator
 
-from .avoiders import DEFAULT_CAP, _check_cap, _sigma1_tuples, _sigma2_tuples, is_avoiding_321
 from .errors import (
     ConstraintViolation,
     InternalConstraintViolation,
     NotAPermutation,
 )
 from .perms import (
+    DEFAULT_CAP,
     Permutation,
     ValueSequence,
     _Frozen,
     count_321,
     find_unique_321,
+    is_avoiding_321,
     parse_one_line,
     parse_value_sequence,
 )
@@ -164,6 +165,8 @@ def _check_one_321(t: tuple[int, ...], values: list[int]) -> None:
 
 
 def _noonan_for_b(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    from .avoiders import _sigma1_tuples, _sigma2_tuples
+
     # Each factor is validated once and split once. sigma2 = c p3 b p4 is
     # kept as three columns, which take less memory than a tuple per factor;
     # the few distinct p3 pieces are stored once each.
@@ -192,6 +195,8 @@ def _noonan_block(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
 
 def _noonan_tuples(n: int, cap: int, threads: int) -> Iterator[tuple[int, ...]]:
     """The checked tuples of enumerate_noonan, arguments validated first."""
+    from .avoiders import _check_cap
+
     _check_cap(n, cap, "enumeration")
     return _iter_noonan(n, cap, threads)
 

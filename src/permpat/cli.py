@@ -9,11 +9,12 @@ output bytes, only how the work is scheduled.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from itertools import islice
+from types import SimpleNamespace
 
 from .catalan import (
     _noonan_closed_stream,
@@ -28,10 +29,16 @@ from .errors import CapExceeded, DomainError, InternalConstraintViolation, Inval
 
 # `catalan` and `errors` load with the package. Each CLI call is a fresh
 # process, so every other module is imported by the handlers that need it:
-# the formula commands load nothing more, `count` only `perms`.
+# the formula commands load nothing more, `count` only `perms`. A valid
+# request is parsed from the command table below; argparse loads only to
+# print help or a usage error.
 
 
 _BATCH = 1000
+# `seq` rows run to thousands of digits. 1000 of them joined for one write
+# raised the peak RSS of `seq --what catalan --max-n 1000` by 0.5 MB;
+# 100 keep it where line-by-line printing had it.
+_TABLE_BATCH = 100
 # `count` refuses the generic counter past this many subsequences of the
 # pattern's length, binom(n, |pattern|): at the cap it takes about 10 s when
 # every one is an occurrence (the identity against 1 2 3), 3-4 s on random
@@ -43,86 +50,20 @@ _VERIFY_CAP = 2000
 
 
 class UsageError(Exception):
-    """Flag combination errors detected after argparse."""
+    """Flag combination errors detected after parsing."""
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
+        # A usage error, which argparse reports; so only this path loads it.
+        import argparse
+
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permpat",
-        description="Exact counting and enumeration of permutations by their 321 content.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count occurrences of a pattern in a permutation")
-    p.add_argument("--perm", required=True, help='permutation in one-line notation, e.g. "3 2 1 4"')
-    p.add_argument("--pattern", default="3 2 1", help='pattern in one-line notation (default "3 2 1")')
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("noonan", help="count n-permutations containing 321 exactly once")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("closed", "catalan", "convolution", "oracle", "bijection"),
-        default="closed",
-    )
-    _add_work_flags(p)
-    p.set_defaults(handler=_cmd_noonan)
-
-    p = sub.add_parser("verify", help="check the three count formulas agree for n = 3..N")
-    p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("enumerate", help="stream a permutation family, one per line")
-    p.add_argument("--family", choices=("avoiders", "sigma1", "sigma2", "noonan"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--b", type=int)
-    _add_work_flags(p)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("decompose", help="split a one-321 permutation into (b, sigma1, sigma2)")
-    p.add_argument("--perm", required=True)
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("compose", help="rebuild a permutation from (b, sigma1, sigma2)")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--sigma1", required=True)
-    p.add_argument("--sigma2", required=True)
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("oracle", help="exhaustive count of n-permutations with exactly k 321s")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    _add_work_flags(p)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("seq", help="print a sequence table as 'n value' lines")
-    p.add_argument("--what", choices=("catalan", "noonan"), required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_seq)
-
-    return parser
-
-
-def _add_work_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker processes for the one-321 family only; the avoider families "
-        "and the oracle run in one process (output is identical for any value)",
-    )
-    p.add_argument("--cap", type=int, default=None, help="override the size cap")
-    p.add_argument("--progress", action="store_true", help="write progress to stderr")
-
-
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     from .perms import PATTERN_321, count_321_fenwick, count_pattern, parse_one_line
 
     perm = parse_one_line(args.perm)
@@ -142,7 +83,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_cap(args: argparse.Namespace) -> int:
+def _oracle_cap(args: SimpleNamespace) -> int:
     from .oracle import DEFAULT_ORACLE_CAP
 
     cap = args.cap if args.cap is not None else DEFAULT_ORACLE_CAP
@@ -156,37 +97,50 @@ def _oracle_cap(args: argparse.Namespace) -> int:
     return cap
 
 
-def _oracle_progress(args: argparse.Namespace) -> Callable[[int, int], None] | None:
+def _oracle_progress(args: SimpleNamespace) -> Callable[[int, int], None] | None:
     if not args.progress:
         return None
     return lambda done, total: print(f"{done}/{total} positions done", file=sys.stderr)
 
 
-def _oracle_count(args: argparse.Namespace, k: int) -> int:
+def _oracle_count(args: SimpleNamespace, k: int) -> int:
     from .oracle import count_321_exactly_k
 
     return count_321_exactly_k(args.n, k, cap=_oracle_cap(args), progress=_oracle_progress(args))
 
 
+def _write_lines(lines: Iterable[str], batch: int = _BATCH, progress: bool = False) -> int:
+    """Write the lines to stdout, `batch` per write call; return how many.
+
+    Under PYTHONUNBUFFERED every write is a system call. With `progress`,
+    every 100000th line is reported on stderr; `batch` must divide that step.
+    """
+    out = sys.stdout
+    lines = iter(lines)
+    written = 0
+    while chunk := list(islice(lines, batch)):
+        out.write("\n".join(chunk) + "\n")
+        written += len(chunk)
+        if progress and written % 100000 == 0:
+            print(f"{written} items", file=sys.stderr)
+    return written
+
+
 def _print_stream(tuples: Iterable[tuple[int, ...]], top: int, expected: int, progress: bool) -> None:
     # Every family's generator checked each tuple's values (and, for noonan,
     # its single 321) before yielding it; a line is one join over a table of
-    # value strings. Batches of _BATCH lines per write; the size divides the
-    # progress step. The emitted total must equal the closed-form count.
-    out = sys.stdout
+    # value strings. The emitted total must equal the closed-form count.
     text = list(map(str, range(top + 1))).__getitem__
-    lines = (" ".join(map(text, t)) for t in tuples)
-    emitted = 0
-    while batch := list(islice(lines, _BATCH)):
-        out.write("\n".join(batch) + "\n")
-        emitted += len(batch)
-        if progress and emitted % 100000 == 0:
-            print(f"{emitted} items", file=sys.stderr)
+    emitted = _write_lines((" ".join(map(text, t)) for t in tuples), progress=progress)
     if emitted != expected:
         raise InternalConstraintViolation(f"stream emitted {emitted} items, expected {expected}")
 
 
-def _cmd_noonan(args: argparse.Namespace) -> int:
+def _cmd_noonan(args: SimpleNamespace) -> int:
+    # Checked once for every method: the formulas would refuse n = 0 on their
+    # own, but the oracle and the bijection count would print 0.
+    if args.n < 1:
+        raise InvalidRange(f"noonan requires n >= 1, got {args.n}")
     if args.method == "closed":
         value = noonan_closed(args.n)
     elif args.method == "catalan":
@@ -205,29 +159,32 @@ def _cmd_noonan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     if args.max_n > _VERIFY_CAP:
         raise CapExceeded(
             f"verify --max-n {args.max_n} is above the cap {_VERIFY_CAP}: its per-n "
             f"convolutions grow about as N^3 (about 4 s at N = {_VERIFY_CAP})"
         )
+    if args.max_n < 0:
+        raise InvalidRange(f"verify requires max_n >= 0, got {args.max_n}")
     failures = 0
-    total = 0
+    lines = []
     for n in range(3, args.max_n + 1):
         conv = noonan_convolution(n)
         cat = noonan_catalan_form(n)
         closed = noonan_closed(n)
-        total += 1
         if conv == cat == closed:
-            print(f"n={n} PASS")
+            lines.append(f"n={n} PASS")
         else:
             failures += 1
-            print(f"n={n} FAIL convolution={conv} catalan_form={cat} closed={closed}")
-    print(f"{total - failures}/{total} PASS")
+            lines.append(f"n={n} FAIL convolution={conv} catalan_form={cat} closed={closed}")
+    total = len(lines)
+    lines.append(f"{total - failures}/{total} PASS")
+    _write_lines(lines)
     return 1 if failures else 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     from .avoiders import DEFAULT_CAP, _avoider_tuples, _sigma1_tuples, _sigma2_tuples
 
     cap = args.cap if args.cap is not None else DEFAULT_CAP
@@ -255,7 +212,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: SimpleNamespace) -> int:
     from .bijection import decompose, format_decomposition
     from .perms import parse_one_line
 
@@ -263,7 +220,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args: SimpleNamespace) -> int:
     from .bijection import Decomposition, compose
     from .perms import parse_one_line, parse_value_sequence
 
@@ -274,21 +231,146 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: SimpleNamespace) -> int:
     print(_oracle_count(args, args.k))
     return 0
 
 
-def _cmd_seq(args: argparse.Namespace) -> int:
+def _cmd_seq(args: SimpleNamespace) -> int:
     if args.what == "catalan":
-        for n, value in enumerate(catalan_table(args.max_n)):
-            print(n, value)
+        rows = enumerate(catalan_table(args.max_n))
     else:
         if args.max_n < 0:
             raise InvalidRange(f"seq requires max_n >= 0, got {args.max_n}")
-        for n, value in enumerate(_noonan_closed_stream(args.max_n), 1):
-            print(n, value)
+        rows = enumerate(_noonan_closed_stream(args.max_n), 1)
+    _write_lines((f"{n} {value}" for n, value in rows), _TABLE_BATCH)
     return 0
+
+
+# The command table. Each command has its handler, its help and its flags.
+# A flag is (kind, default, help): kind is a converter, a tuple of choices, or
+# None for a switch that is False unless given; a default of _REQUIRED makes
+# the flag required. _parse reads valid requests off this table, and
+# build_parser builds argparse's parser from it for help and usage errors.
+_REQUIRED = object()
+_WORK_FLAGS = {
+    "--threads": (
+        _positive_int,
+        1,
+        "worker processes for the one-321 family only; the avoider families "
+        "and the oracle run in one process (output is identical for any value)",
+    ),
+    "--cap": (int, None, "override the size cap"),
+    "--progress": (None, False, "write progress to stderr"),
+}
+_COMMANDS = {
+    "count": (_cmd_count, "count occurrences of a pattern in a permutation", {
+        "--perm": (str, _REQUIRED, 'permutation in one-line notation, e.g. "3 2 1 4"'),
+        "--pattern": (str, "3 2 1", 'pattern in one-line notation (default "3 2 1")'),
+    }),
+    "noonan": (_cmd_noonan, "count n-permutations containing 321 exactly once", {
+        "--n": (int, _REQUIRED, None),
+        "--method": (("closed", "catalan", "convolution", "oracle", "bijection"), "closed", None),
+        **_WORK_FLAGS,
+    }),
+    "verify": (_cmd_verify, "check the three count formulas agree for n = 3..N", {
+        "--max-n": (int, _REQUIRED, None),
+    }),
+    "enumerate": (_cmd_enumerate, "stream a permutation family, one per line", {
+        "--family": (("avoiders", "sigma1", "sigma2", "noonan"), _REQUIRED, None),
+        "--n": (int, None, None),
+        "--b": (int, None, None),
+        **_WORK_FLAGS,
+    }),
+    "decompose": (_cmd_decompose, "split a one-321 permutation into (b, sigma1, sigma2)", {
+        "--perm": (str, _REQUIRED, None),
+    }),
+    "compose": (_cmd_compose, "rebuild a permutation from (b, sigma1, sigma2)", {
+        "--b": (int, _REQUIRED, None),
+        "--sigma1": (str, _REQUIRED, None),
+        "--sigma2": (str, _REQUIRED, None),
+    }),
+    "oracle": (_cmd_oracle, "exhaustive count of n-permutations with exactly k 321s", {
+        "--n": (int, _REQUIRED, None),
+        "--k": (int, 1, None),
+        **_WORK_FLAGS,
+    }),
+    "seq": (_cmd_seq, "print a sequence table as 'n value' lines", {
+        "--what": (("catalan", "noonan"), _REQUIRED, None),
+        "--max-n": (int, _REQUIRED, None),
+    }),
+}
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a plain `CMD --flag value ...` call.
+
+    Returns None for anything else: help, `--`, `--flag=value`, abbreviated
+    or repeated flags, a missing value or required flag, a value that starts
+    with "-" and is not an integer (argparse reads it as an option), or a
+    value the converter or the choices refuse. argparse then parses argv
+    itself, so help, error text and exit status stay its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in flags or flag in given:
+            return None
+        kind = flags[flag][0]
+        if kind is None:
+            given[flag] = True
+            continue
+        text = next(words, None)
+        if text is None:
+            return None
+        # argparse reads a value that starts with "-" as an option, unless it
+        # is a negative number.
+        if text.startswith("-") and not (text[1:].isascii() and text[1:].isdigit()):
+            return None
+        if isinstance(kind, tuple):
+            if text not in kind:
+                return None
+            given[flag] = text
+            continue
+        try:
+            given[flag] = kind(text)
+        except Exception:  # int's ValueError or _positive_int's ArgumentTypeError
+            return None
+    values = {flag[2:].replace("-", "_"): given.get(flag, spec[1]) for flag, spec in flags.items()}
+    if _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
+def build_parser():
+    """argparse's parser for the command table; it prints help and usage errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="permpat",
+        description="Exact counting and enumeration of permutations by their 321 content.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, (kind, default, flag_help) in flags.items():
+            options = {"help": flag_help}
+            if kind is None:
+                options["action"] = "store_true"
+            elif isinstance(kind, tuple):
+                options["choices"] = kind
+            else:
+                options["type"] = kind
+            if default is _REQUIRED:
+                options["required"] = True
+            else:
+                options["default"] = default
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
+    return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -296,11 +378,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # Counts are exact integers; noonan --n 8000 already has 4800 digits.
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -316,6 +401,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # What is loaded by now (the interpreter, site and this package) lives
+    # until exit. Frozen, it is never walked again by the collector, neither
+    # during the request nor in the collections at exit.
+    gc.freeze()
     sys.exit(run())
 
 

@@ -22,6 +22,11 @@ from collections.abc import Iterable, Sequence
 
 from .errors import MultipleOccurrences, NoOccurrence, NotAPermutation
 
+# The largest length the avoider and one-321 enumerations generate without an
+# explicit cap. It lives here so that `bijection` can name it as a default
+# without loading `avoiders`.
+DEFAULT_CAP = 14
+
 
 class _Frozen:
     """Immutable value object over __slots__, compared field by field.
@@ -247,6 +252,30 @@ def count_pattern(perm: Permutation, pattern: Permutation) -> int:
 
 
 PATTERN_321 = Permutation((3, 2, 1))
+
+
+def is_avoiding_321(seq: Permutation | ValueSequence | Sequence[int]) -> bool:
+    """True iff the sequence contains no 321 occurrence.
+
+    Avoidance depends only on the relative order of the values, so any
+    sequence of distinct integers is accepted.
+
+    >>> is_avoiding_321((2, 4, 1, 3))
+    True
+    >>> is_avoiding_321((3, 2, 1))
+    False
+    """
+    values = getattr(seq, "values", seq)
+    m1 = 0  # prefix maximum
+    m2 = 0  # largest value with a larger value before it
+    for v in values:
+        if v < m2:
+            return False
+        if v > m1:
+            m1 = v
+        else:
+            m2 = v
+    return True
 
 
 def count_321(perm: Permutation) -> int:

@@ -14,11 +14,12 @@ from permpat import avoiders, bijection
 from permpat.avoiders import enumerate_avoiders, enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import Decomposition, compose
 from permpat.catalan import noonan_closed
-from permpat.cli import run
+from permpat.cli import _parse, build_parser, run
 from permpat.oracle import brute_noonan_set
 from permpat.perms import count_occurrences
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 @pytest.fixture
@@ -116,7 +117,7 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert result.stdout == "[]\n"
 
 
-_LAZY_MODULES = ("permpat.avoiders", "permpat.bijection", "permpat.oracle", "permpat.perms")
+_LAZY_MODULES = ("argparse", "permpat.avoiders", "permpat.bijection", "permpat.oracle", "permpat.perms")
 
 
 @pytest.mark.parametrize(
@@ -129,6 +130,11 @@ _LAZY_MODULES = ("permpat.avoiders", "permpat.bijection", "permpat.oracle", "per
         (("noonan", "--n", "8", "--method", "convolution"), []),
         (("verify", "--max-n", "8"), []),
         (("count", "--perm", "3 2 1 4"), ["permpat.perms"]),
+        (("decompose", "--perm", "3 2 1 4"), ["permpat.bijection", "permpat.perms"]),
+        (
+            ("compose", "--b", "2", "--sigma1", "2 1", "--sigma2", "3 4 2"),
+            ["permpat.bijection", "permpat.perms"],
+        ),
     ],
 )
 def test_commands_load_only_the_modules_they_need(argv, loaded):
@@ -392,7 +398,10 @@ def test_domain_errors_exit_1_with_named_diagnostic(invoke):
         (("enumerate", "--family", "noonan", "--n", "-3"), "InvalidRange"),
         (("oracle", "--n", "12"), "CapExceeded"),
         (("noonan", "--n", "0"), "InvalidRange"),
+        (("noonan", "--n", "0", "--method", "oracle"), "InvalidRange"),
+        (("noonan", "--n", "0", "--method", "bijection"), "InvalidRange"),
         (("noonan", "--n", "-3", "--method", "bijection"), "InvalidRange"),
+        (("verify", "--max-n", "-3"), "InvalidRange"),
         (("seq", "--what", "catalan", "--max-n", "-1"), "InvalidRange"),
         (("seq", "--what", "noonan", "--max-n", "-1"), "InvalidRange"),
     ]
@@ -412,6 +421,84 @@ def test_usage_errors_exit_2(invoke):
     assert invoke("enumerate", "--family", "sigma1")[0] == 2  # --b missing
     assert invoke("enumerate", "--family", "avoiders")[0] == 2  # --n missing
     assert invoke("oracle", "--n", "4", "--threads", "0")[0] == 2
+
+
+# --- the table parse against argparse -----------------------------------
+
+_VALID_ARGV = [
+    ("count", "--perm", "3 2 1 4"),
+    ("count", "--perm", "2 4 1 3", "--pattern", "2 1"),
+    ("count", "--pattern", "2 1", "--perm", "2 4 1 3"),
+    ("count", "--perm", ""),
+    ("count", "--perm", "-3"),
+    ("noonan", "--n", "4"),
+    ("noonan", "--n", "-3"),
+    ("noonan", "--method", "oracle", "--n", "7"),
+    ("noonan", "--n", "7", "--method", "bijection", "--threads", "2", "--cap", "12", "--progress"),
+    ("noonan", "--progress", "--cap", "-1", "--threads", "3", "--method", "catalan", "--n", "9"),
+    ("verify", "--max-n", "6"),
+    ("verify", "--max-n", "-3"),
+    ("enumerate", "--family", "avoiders", "--n", "3"),
+    ("enumerate", "--family", "sigma1", "--b", "3"),
+    ("enumerate", "--n", "4", "--b", "2", "--family", "sigma2"),
+    ("enumerate", "--family", "noonan", "--n", "6", "--threads", "1", "--cap", "6", "--progress"),
+    ("enumerate", "--family", "sigma1"),
+    ("decompose", "--perm", "3 2 1 4"),
+    ("compose", "--b", "2", "--sigma1", "2 1", "--sigma2", "3 4 2"),
+    ("compose", "--sigma2", "3 4 2", "--sigma1", "2 1", "--b", "2"),
+    ("oracle", "--n", "4"),
+    ("oracle", "--k", "0", "--n", "4", "--progress", "--threads", "2", "--cap", "11"),
+    ("oracle", "--n", "4", "--k", "-2"),
+    ("seq", "--what", "catalan", "--max-n", "0"),
+    ("seq", "--max-n", "-1", "--what", "noonan"),
+]
+
+
+def _benchmark_argv(monkeypatch):
+    # Every request the benchmark sends, on one query seed.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    ops = [workloads.setup_op(), *workloads.stream_ops(), *workloads.verify_ops()]
+    return [op.argv for op in ops + workloads.query_ops(1)]
+
+
+def test_table_parse_equals_argparse_on_valid_requests(monkeypatch):
+    for argv in [*map(list, _VALID_ARGV), *_benchmark_argv(monkeypatch)]:
+        parsed = _parse(argv)
+        assert parsed is not None, argv
+        assert vars(parsed) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("-h",),
+        ("--help",),
+        ("nonsense",),
+        ("noonan", "-h"),
+        ("noonan", "--n", "4", "--help"),
+        ("noonan", "--", "--n", "4"),
+        ("noonan", "--n=4"),
+        ("noonan", "--me", "oracle", "--n", "4"),
+        ("noonan", "--n", "4", "--n", "5"),
+        ("oracle", "--n", "4", "--progress", "--progress"),
+        ("noonan", "--n"),
+        ("noonan",),
+        ("compose", "--b", "2", "--sigma1", "2 1"),
+        ("noonan", "--n", "-x"),
+        ("noonan", "--n", "-3.5"),
+        ("count", "--perm", "-h"),
+        ("count", "--perm", "-1 2"),
+        ("noonan", "--n", "four"),
+        ("oracle", "--n", "4", "--threads", "0"),
+        ("noonan", "--n", "4", "--method", "magic"),
+        ("noonan", "--n", "4", "extra"),
+    ],
+)
+def test_table_parse_leaves_everything_else_to_argparse(argv):
+    assert _parse(list(argv)) is None
 
 
 def test_oracle_cap_override_is_allowed_below_the_default(invoke):

@@ -39,7 +39,8 @@ def main(argv=None):
                         help="largest n for the n! brute force (default 8)")
     parser.add_argument("--max-exact", type=int, default=500,
                         help="largest n for the formula-only check (default 500)")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for the n! brute force (default 1)")
     args = parser.parse_args(argv)
 
     failures = 0
@@ -50,7 +51,7 @@ def main(argv=None):
         oracle = brute_count_exactly_k(n, PATTERN_321, 1, cap=max(10, n),
                                        threads=args.threads)
         states = count_321_exactly_k(n, 1, cap=max(10, n))
-        bij = sum(1 for _ in enumerate_noonan(n, threads=args.threads))
+        bij = sum(1 for _ in enumerate_noonan(n))
         closed = noonan_closed(n)
         cat = noonan_catalan_form(n)
         conv = noonan_convolution(n)

@@ -166,4 +166,4 @@ def enumerate_sigma2(b: int, n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Valu
     The stream has exactly C_{n-b+1} - C_{n-b} items. Items carry their
     literal values from {b..n}, not a normalized copy.
     """
-    return map(ValueSequence, _sigma2_tuples(b, n, cap))
+    return map(ValueSequence._trusted, _sigma2_tuples(b, n, cap))

@@ -13,17 +13,17 @@ of {1..b} not ending with b, sigma2 over {b..n} not starting with b. The
 map is a bijection onto all such pairs with 2 <= b <= n-1, which is what
 compose() inverts and enumerate_noonan() exploits.
 
-The enumeration validates each factor once and splits it once, into
-(p1, p2, a) and (c, p3, p4); every item is then a plain tuple, checked on
-its own to hold exactly 1..n with a middle-position 321 sum of exactly 1.
-The CLI prints those tuples and, at the end of the stream, checks that
-their number is the closed-form count.
+The enumeration runs in one process, b by b. It validates each factor
+once and splits it once, into (p1, p2, a) and (c, p3, p4); every item is
+then a plain tuple, checked on its own to hold exactly 1..n with a
+middle-position 321 sum of exactly 1. The CLI prints those tuples and, at
+the end of the stream, checks that their number is the closed-form count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections.abc import Iterator
+from itertools import chain
 
 from .errors import (
     ConstraintViolation,
@@ -35,6 +35,7 @@ from .perms import (
     Permutation,
     ValueSequence,
     _Frozen,
+    _sorted_and_321,
     count_321,
     find_unique_321,
     is_avoiding_321,
@@ -149,18 +150,8 @@ def compose(d: Decomposition) -> Permutation:
 
 
 def _check_one_321(t: tuple[int, ...], values: list[int]) -> None:
-    """Raise InternalConstraintViolation unless t arranges `values` (1..n) with one 321.
-
-    One pass builds the sorted prefix and the middle-position sum of
-    count_321; the sum is the 321 count once the values are 1..n.
-    """
-    seen: list[int] = []
-    total = 0
-    for j, v in enumerate(t):
-        s = bisect(seen, v)
-        seen.insert(s, v)
-        total += (j - s) * (v - 1 - s)
-    if seen != values or total != 1:
+    """Raise InternalConstraintViolation unless t arranges `values` (1..n) with one 321."""
+    if _sorted_and_321(t) != (values, 1):
         raise InternalConstraintViolation(f"generated {_text(t)} is not a one-321 permutation")
 
 
@@ -189,16 +180,12 @@ def _noonan_for_b(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield t
 
 
-def _noonan_block(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    return list(_noonan_for_b(*args))
-
-
-def _noonan_tuples(n: int, cap: int, threads: int) -> Iterator[tuple[int, ...]]:
-    """The checked tuples of enumerate_noonan, arguments validated first."""
+def _noonan_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The checked tuples of enumerate_noonan, in ascending b; the cap is checked first."""
     from .avoiders import _check_cap
 
     _check_cap(n, cap, "enumeration")
-    return _iter_noonan(n, cap, threads)
+    return chain.from_iterable(_noonan_for_b(b, n, cap) for b in range(2, n))
 
 
 def enumerate_noonan(
@@ -207,30 +194,13 @@ def enumerate_noonan(
     """Every n-permutation containing 321 exactly once, via the bijection.
 
     Emission order is ascending b, then lexicographic sigma1, then
-    lexicographic sigma2. Empty stream for n < 3. With threads > 1 the b
-    values are distributed over worker processes and merged back in order.
+    lexicographic sigma2. Empty stream for n < 3. The stream is generated
+    in this process; `threads` is accepted and ignored.
 
     >>> [str(p) for p in enumerate_noonan(3)]
     ['3 2 1']
     """
-    return map(Permutation._trusted, _noonan_tuples(n, cap, threads))
-
-
-def _iter_noonan(n: int, cap: int, threads: int) -> Iterator[tuple[int, ...]]:
-    if n < 3:
-        return
-    bs = range(2, n)
-    if threads > 1:
-        import multiprocessing
-
-        jobs = [(b, n, cap) for b in bs]
-        with multiprocessing.Pool(min(threads, len(jobs))) as pool:
-            # Workers checked every tuple in _noonan_for_b.
-            for block in pool.imap(_noonan_block, jobs):
-                yield from block
-    else:
-        for b in bs:
-            yield from _noonan_for_b(b, n, cap)
+    return map(Permutation._trusted, _noonan_tuples(n, cap))
 
 
 def format_decomposition(d: Decomposition) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
+from _thread import allocate_lock
 from collections.abc import Iterator
 from itertools import accumulate
 
@@ -82,7 +82,8 @@ def _self_convolution(a: list[int]) -> int:
 # and replaced only under the lock.
 _table: list[int] = [1]
 _row: list[int] = [1]
-_table_lock = threading.Lock()
+# allocate_lock is what threading.Lock returns, without loading threading.
+_table_lock = allocate_lock()
 
 
 def _extend(max_n: int) -> list[int]:

@@ -3,8 +3,8 @@
 Batch, line-oriented plain text: counts print in decimal with no separators,
 permutations print in one-line notation, one item per line. Exit status is 0
 on success, 1 on a domain error (one-line diagnostic on stderr), 2 on a
-usage error. --progress writes to stderr only; --threads never changes the
-output bytes, only how the work is scheduled.
+usage error. --progress writes to stderr only. Every command runs in this
+one process; --threads is accepted and checked, and changes nothing.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _cmd_noonan(args: SimpleNamespace) -> int:
         from .bijection import _noonan_tuples
 
         cap = args.cap if args.cap is not None else DEFAULT_CAP
-        value = sum(1 for _ in _noonan_tuples(args.n, cap, args.threads))
+        value = sum(1 for _ in _noonan_tuples(args.n, cap))
     print(value)
     return 0
 
@@ -193,8 +193,6 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
         raise UsageError(f"--n is required for --family {family}")
     if family in ("sigma1", "sigma2") and args.b is None:
         raise UsageError(f"--b is required for --family {family}")
-    # Only the one-321 family runs in a pool; the avoider families run in
-    # this process whatever --threads says.
     n, b = args.n, args.b
     if family == "avoiders":
         stream, top, expected = _avoider_tuples(n, cap), n, catalan(n)
@@ -206,7 +204,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
     else:
         from .bijection import _noonan_tuples
 
-        stream, top = _noonan_tuples(n, cap, args.threads), n
+        stream, top = _noonan_tuples(n, cap), n
         expected = noonan_closed(n) if n else 0
     _print_stream(stream, top, expected, args.progress)
     return 0
@@ -257,8 +255,8 @@ _WORK_FLAGS = {
     "--threads": (
         _positive_int,
         1,
-        "worker processes for the one-321 family only; the avoider families "
-        "and the oracle run in one process (output is identical for any value)",
+        "accepted and ignored: every command runs in one process, and the "
+        "output never depends on it",
     ),
     "--cap": (int, None, "override the size cap"),
     "--progress": (None, False, "write progress to stderr"),

@@ -65,7 +65,27 @@ class _Frozen:
         return (self.__class__, self._fields())
 
 
-class Permutation(_Frozen):
+class _Values(_Frozen):
+    """A value object over one field, the tuple `values`, in one-line text form."""
+
+    __slots__ = ()
+    values: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> _Values:
+        """Wrap a tuple already known to satisfy the class's invariant, unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "values", values)
+        return obj
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __str__(self) -> str:
+        return " ".join(str(v) for v in self.values)
+
+
+class Permutation(_Values):
     """A permutation of {1..n} in one-line notation.
 
     >>> Permutation((3, 1, 2)).n
@@ -75,7 +95,6 @@ class Permutation(_Frozen):
     """
 
     __slots__ = ("values",)
-    values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]) -> None:
         values = tuple(values)
@@ -87,25 +106,12 @@ class Permutation(_Frozen):
             seen[v] = True
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def _trusted(cls, values: tuple[int, ...]) -> Permutation:
-        """Wrap a tuple already known to be a permutation of 1..n, unchecked."""
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "values", values)
-        return perm
-
     @property
     def n(self) -> int:
         return len(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
 
-    def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values)
-
-
-class ValueSequence(_Frozen):
+class ValueSequence(_Values):
     """A sequence of distinct positive integers over an arbitrary value set.
 
     Unlike Permutation, the support need not be 1..n; it can be any set of
@@ -113,7 +119,6 @@ class ValueSequence(_Frozen):
     """
 
     __slots__ = ("values",)
-    values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]) -> None:
         values = tuple(values)
@@ -129,12 +134,6 @@ class ValueSequence(_Frozen):
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values)
 
 
 class Occurrence321(_Frozen):
@@ -290,13 +289,22 @@ def count_321(perm: Permutation) -> int:
     >>> count_321(from_one_line([3, 2, 1, 4]))
     1
     """
+    return _sorted_and_321(perm.values)[1]
+
+
+def _sorted_and_321(values: Sequence[int]) -> tuple[list[int], int]:
+    """The sorted values and count_321's middle-position sum, in one pass.
+
+    The sum is the 321 count when the values are 1..n, which the caller
+    checks against the sorted list where it is not known.
+    """
     seen: list[int] = []
     total = 0
-    for j, vj in enumerate(perm.values):
-        smaller = bisect(seen, vj)
-        seen.insert(smaller, vj)
-        total += (j - smaller) * (vj - 1 - smaller)
-    return total
+    for j, v in enumerate(values):
+        s = bisect(seen, v)
+        seen.insert(s, v)
+        total += (j - s) * (v - 1 - s)
+    return seen, total
 
 
 class _Fenwick:

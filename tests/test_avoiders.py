@@ -88,6 +88,20 @@ def test_every_family_item_goes_through_the_check(monkeypatch):
         assert [(p.values, lo, hi) for p in stream] == checked
 
 
+def test_family_items_are_wrapped_without_a_second_validation(monkeypatch):
+    # _checked has verified every tuple, so the wrappers skip __init__.
+    def refuse(self, values):
+        raise AssertionError(f"{values} validated a second time")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    monkeypatch.setattr(ValueSequence, "__init__", refuse)
+    assert len(list(enumerate_avoiders(6))) == catalan(6)
+    assert len(list(enumerate_sigma1(6))) == catalan(6) - catalan(5)
+    streamed = list(enumerate_sigma2(3, 7))
+    assert len(streamed) == catalan(5) - catalan(4)
+    assert all(type(s) is ValueSequence for s in streamed)
+
+
 # --- enumerate_avoiders -------------------------------------------------
 
 

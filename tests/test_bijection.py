@@ -258,7 +258,7 @@ def test_enumerate_noonan_threads_do_not_change_the_stream():
     sequential = list(enumerate_noonan(6))
     merged = list(enumerate_noonan(6, threads=3))
     assert [str(p) for p in merged] == [str(p) for p in sequential]
-    # the merge wraps worker tuples unchecked; they still compare and hash alike
+    # the stream wraps checked tuples unvalidated; they still compare and hash alike
     assert merged == sequential
     assert [hash(p) for p in merged] == [hash(p) for p in sequential]
     assert all(type(p) is Permutation for p in merged)

@@ -108,7 +108,7 @@ def test_count_caps_the_generic_counter(invoke):
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     # -S keeps site and any .pth file from importing these on their own.
-    heavy = ("dataclasses", "inspect", "typing", "multiprocessing", "permpat.oracle")
+    heavy = ("dataclasses", "inspect", "typing", "multiprocessing", "threading", "permpat.oracle")
     code = f"import sys, permpat.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
@@ -343,9 +343,9 @@ def test_threads_leave_output_identical(invoke):
 
 
 def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
-    # --threads is accepted by every family and by the oracle, but only the
-    # one-321 stream uses a process pool; -S keeps site from importing
-    # multiprocessing itself.
+    # --threads is accepted by every family, by the oracle and by the
+    # bijection count, and none of them starts a process pool; -S keeps site
+    # from importing multiprocessing itself.
     code = (
         "import sys\n"
         "from permpat.cli import run\n"
@@ -360,6 +360,8 @@ def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
         ("enumerate", "--family", "sigma2", "--b", "2", "--n", "8"),
         ("oracle", "--n", "7"),
         ("noonan", "--n", "7", "--method", "oracle"),
+        ("enumerate", "--family", "noonan", "--n", "7"),
+        ("noonan", "--n", "7", "--method", "bijection"),
     ]
     for argv in families:
         base = invoke(*argv, "--threads", "1")

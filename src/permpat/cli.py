@@ -3,8 +3,10 @@
 Batch, line-oriented plain text: counts print in decimal with no separators,
 permutations print in one-line notation, one item per line. Exit status is 0
 on success, 1 on a domain error (one-line diagnostic on stderr), 2 on a
-usage error. --progress writes to stderr only. Every command runs in this
-one process; --threads is accepted and checked, and changes nothing.
+usage error. --progress writes to stderr only. Only the bijection count
+(noonan --method bijection) uses --threads: it counts its b ranges in up
+to that many forked processes. Every other command runs in this one
+process and only checks the flag. The output never depends on it.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 from types import SimpleNamespace
 
 from .catalan import (
     _noonan_closed_stream,
+    _self_convolution,
     binomial,
     catalan,
     catalan_table,
@@ -151,12 +154,26 @@ def _cmd_noonan(args: SimpleNamespace) -> int:
         value = _oracle_count(args, 1)
     else:
         from .avoiders import DEFAULT_CAP
-        from .bijection import _noonan_tuples
+        from .bijection import _count_noonan
 
         cap = args.cap if args.cap is not None else DEFAULT_CAP
-        value = sum(1 for _ in _noonan_tuples(args.n, cap))
+        value = _count_noonan(args.n, cap, args.threads)
     print(value)
     return 0
+
+
+def _verify_rows(max_n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, convolution, Catalan form, closed form) of the one-321 count, n = 3..max_n.
+
+    The convolution's differences C_b - C_{b-1} are taken from the Catalan
+    table once, not once per n as noonan_convolution does; the closed form
+    comes from the ratio walk of `seq --what noonan`, not from the table.
+    """
+    t = catalan_table(max_n + 2)
+    d = [t[b] - t[b - 1] for b in range(2, max_n)]  # C_b - C_{b-1}, b = 2..max_n-1
+    closed = islice(_noonan_closed_stream(max_n), 2, None)
+    for n, c in zip(range(3, max_n + 1), closed):
+        yield n, _self_convolution(d[: n - 2]), noonan_catalan_form(n), c
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
@@ -169,10 +186,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise InvalidRange(f"verify requires max_n >= 0, got {args.max_n}")
     failures = 0
     lines = []
-    for n in range(3, args.max_n + 1):
-        conv = noonan_convolution(n)
-        cat = noonan_catalan_form(n)
-        closed = noonan_closed(n)
+    for n, conv, cat, closed in _verify_rows(args.max_n):
         if conv == cat == closed:
             lines.append(f"n={n} PASS")
         else:
@@ -255,8 +269,8 @@ _WORK_FLAGS = {
     "--threads": (
         _positive_int,
         1,
-        "accepted and ignored: every command runs in one process, and the "
-        "output never depends on it",
+        "processes for the bijection count (noonan --method bijection); "
+        "every other command runs in one process; the output never depends on it",
     ),
     "--cap": (int, None, "override the size cap"),
     "--progress": (None, False, "write progress to stderr"),

@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 
 import pytest
@@ -9,7 +10,9 @@ from permpat import bijection
 from permpat.avoiders import enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import (
     Decomposition,
+    _b_ranges,
     _check_one_321,
+    _count_noonan,
     compose,
     decompose,
     enumerate_noonan,
@@ -262,6 +265,43 @@ def test_enumerate_noonan_threads_do_not_change_the_stream():
     assert merged == sequential
     assert [hash(p) for p in merged] == [hash(p) for p in sequential]
     assert all(type(p) is Permutation for p in merged)
+
+
+def test_b_ranges_cover_every_block_once_in_contiguous_non_empty_ranges():
+    for n in range(0, 30):
+        for threads in range(1, 33):
+            ranges = _b_ranges(n, threads)
+            assert len(ranges) == min(threads, max(n - 2, 0))
+            assert all(len(r) > 0 and r.step == 1 for r in ranges)
+            # Concatenated in order they are 2..n-1, so they are contiguous.
+            assert [b for r in ranges for b in r] == list(range(2, n))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 16])
+def test_split_count_is_the_closed_form_at_every_thread_count(monkeypatch, threads):
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for n in range(1, 12):
+        forked.clear()
+        assert _count_noonan(n, 14, threads) == noonan_closed(n)
+        # One range per thread, at most one per b block; the first is
+        # counted in this process. So n <= 3 forks nothing.
+        assert len(forked) == max(min(threads, n - 2) - 1, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_count_checks_the_cap_first():
+    with pytest.raises(CapExceeded):
+        _count_noonan(15, 14, 2)
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,9 @@ import pytest
 from permpat import avoiders, bijection
 from permpat.avoiders import enumerate_avoiders, enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import Decomposition, compose
-from permpat.catalan import noonan_closed
-from permpat.cli import _parse, build_parser, run
+from permpat.catalan import noonan_catalan_form, noonan_closed, noonan_convolution
+from permpat.cli import _parse, _verify_rows, build_parser, run
+from permpat.errors import InternalConstraintViolation
 from permpat.oracle import brute_noonan_set
 from permpat.perms import count_occurrences
 
@@ -184,6 +185,13 @@ def test_verify(invoke):
     assert code == 0
     assert out == "n=3 PASS\nn=4 PASS\nn=5 PASS\nn=6 PASS\n4/4 PASS\n"
     assert err == ""
+
+
+def test_verify_rows_are_the_three_public_formulas():
+    assert list(_verify_rows(2)) == []
+    assert list(_verify_rows(500)) == [
+        (n, noonan_convolution(n), noonan_catalan_form(n), noonan_closed(n)) for n in range(3, 501)
+    ]
 
 
 def test_enumerate_families(invoke):
@@ -361,7 +369,6 @@ def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
         ("oracle", "--n", "7"),
         ("noonan", "--n", "7", "--method", "oracle"),
         ("enumerate", "--family", "noonan", "--n", "7"),
-        ("noonan", "--n", "7", "--method", "bijection"),
     ]
     for argv in families:
         base = invoke(*argv, "--threads", "1")
@@ -375,6 +382,89 @@ def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
         )
         assert result.stdout == base[1], argv
         assert result.stderr == "False\n", argv
+
+
+def test_bijection_count_is_the_same_at_threads_1_and_2_without_pool_modules(invoke):
+    # The count forks its children itself; -S keeps site from importing
+    # multiprocessing or threading on its own.
+    code = (
+        "import sys\n"
+        "from permpat.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        "print([m for m in ('multiprocessing', 'threading') if m in sys.modules], file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ("noonan", "--n", "9", "--method", "bijection")
+    base = invoke(*argv, "--threads", "1")
+    assert base == (0, f"{noonan_closed(9)}\n", "")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv, "--threads", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == base[1]
+    assert result.stderr == "[]\n"
+
+
+def _fail_in(monkeypatch, parent=None, child=None):
+    """Make bijection._noonan_for_b call `parent` in this process and `child` in a fork."""
+    this = os.getpid()
+    real = bijection._noonan_for_b
+
+    def patched(b, n, cap):
+        act = parent if os.getpid() == this else child
+        if act is not None:
+            act(b)
+        return real(b, n, cap)
+
+    # The patch is a module global, so forked children inherit it.
+    monkeypatch.setattr(bijection, "_noonan_for_b", patched)
+
+
+def _raise(b):
+    raise ValueError(f"no block {b}")
+
+
+def _kill_self(b):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _sleep(b):
+    time.sleep(60)
+
+
+def _raise_internal(b):
+    raise InternalConstraintViolation(f"this process failed at b = {b}")
+
+
+@pytest.mark.parametrize(
+    "parent, child, diagnostic",
+    [
+        (None, _raise, "the count of b = 7..10 in child process "),
+        (None, _kill_self, "the count of b = 7..10 in child process "),
+        (_raise_internal, _sleep, "this process failed at b = 2\n"),
+    ],
+    ids=["child-raises", "child-killed", "parent-raises-child-running"],
+)
+def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, parent, child, diagnostic):
+    # At n = 11 and two threads this process counts b = 2..6 and one child
+    # b = 7..10. A sleeping child left unkilled would hold the reap past the
+    # alarm.
+    _fail_in(monkeypatch, parent, child)
+    with _fails_after(10, "the failing split count"):
+        code, out, err = invoke("noonan", "--n", "11", "--method", "bijection", "--threads", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InternalConstraintViolation: {diagnostic}")
+    assert err.count("\n") == 1
+    if child is _raise:
+        assert err.endswith(" failed: ValueError: no block 7\n")
+    if child is _kill_self:
+        assert err.endswith(f" failed: it died by signal {int(signal.SIGKILL)}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_progress_goes_to_stderr_only(invoke):

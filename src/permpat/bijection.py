@@ -31,6 +31,7 @@ import os
 from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import accumulate, chain
+from operator import mul
 
 from .errors import (
     ConstraintViolation,
@@ -205,14 +206,13 @@ def _b_ranges(n: int, threads: int) -> list[range]:
     >>> _b_ranges(11, 2)
     [range(2, 7), range(7, 11)]
     """
-    from .catalan import catalan_table
+    from .catalan import _differences
 
     k = min(threads, n - 2)
     if k < 1:
         return []
-    t = catalan_table(n)
-    d = [0, *(t[m] - t[m - 1] for m in range(1, n + 1))]  # d[m] = C_m - C_{m-1}
-    running = list(accumulate(d[b] * d[n + 1 - b] for b in range(2, n)))
+    d = _differences(n)
+    running = list(accumulate(map(mul, d, reversed(d))))
     total, ends = running[-1], [2]
     for i in range(1, k):
         # The first index whose running total is at least total * i / k.

@@ -180,6 +180,10 @@ def noonan_convolution(n: int) -> int:
         raise InvalidRange(f"noonan_convolution requires n >= 1, got {n}")
     if n < 3:
         return 0
-    t = _extend(n - 1)
-    # The differences C_b - C_{b-1} for b = 2..n-1; term b pairs b with n+1-b.
-    return _self_convolution(list(map(operator.sub, t[2:n], t[1 : n - 1])))
+    return _self_convolution(_differences(n))
+
+
+def _differences(n: int) -> list[int]:
+    """C_b - C_{b-1} for b = 2..n-1, off the table; the convolution pairs b with n+1-b."""
+    t = _extend(max(n - 1, 0))
+    return list(map(operator.sub, t[2:n], t[1 : n - 1]))

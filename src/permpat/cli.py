@@ -19,6 +19,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 from .catalan import (
+    _differences,
     _noonan_closed_stream,
     _self_convolution,
     binomial,
@@ -169,8 +170,7 @@ def _verify_rows(max_n: int) -> Iterator[tuple[int, int, int, int]]:
     table once, not once per n as noonan_convolution does; the closed form
     comes from the ratio walk of `seq --what noonan`, not from the table.
     """
-    t = catalan_table(max_n + 2)
-    d = [t[b] - t[b - 1] for b in range(2, max_n)]  # C_b - C_{b-1}, b = 2..max_n-1
+    d = _differences(max_n)
     closed = islice(_noonan_closed_stream(max_n), 2, None)
     for n, c in zip(range(3, max_n + 1), closed):
         yield n, _self_convolution(d[: n - 2]), noonan_catalan_form(n), c

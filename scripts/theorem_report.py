@@ -40,7 +40,8 @@ def main(argv=None):
     parser.add_argument("--max-exact", type=int, default=500,
                         help="largest n for the formula-only check (default 500)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the n! brute force (default 1)")
+                        help="forked processes for the n! brute force, one per range "
+                             "of first values; 1 counts in this process (default 1)")
     args = parser.parse_args(argv)
 
     failures = 0

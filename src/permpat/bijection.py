@@ -21,13 +21,12 @@ the end of the stream, checks that their number is the closed-form count.
 
 The count of those items (CLI `noonan --method bijection`) can split: b
 block sizes are known in closed form, so b = 2..n-1 is cut into ranges of
-about equal size, and every range but the first is counted in a forked
-child by the same checked generators. The stream itself never splits.
+about equal size, counted by the same checked generators in forked
+children (split.forked_sum). The stream itself never splits.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import accumulate, chain
@@ -197,7 +196,7 @@ def _noonan_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 def _b_ranges(n: int, threads: int) -> list[range]:
-    """b = 2..n-1 cut into min(threads, n-2) contiguous, non-empty ranges.
+    """b = 2..n-1 cut into min(max(threads, 1), n-2) contiguous, non-empty ranges.
 
     Block b holds (C_b - C_{b-1})(C_{n-b+1} - C_{n-b}) items. Range i ends
     at the first block where the running total reaches (i+1)/k of all items,
@@ -208,7 +207,7 @@ def _b_ranges(n: int, threads: int) -> list[range]:
     """
     from .catalan import _differences
 
-    k = min(threads, n - 2)
+    k = min(max(threads, 1), n - 2)
     if k < 1:
         return []
     d = _differences(n)
@@ -222,66 +221,15 @@ def _b_ranges(n: int, threads: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-def _count_range(bs: range, n: int, cap: int) -> int:
-    return sum(1 for b in bs for _ in _noonan_for_b(b, n, cap))
-
-
-def _count_in_child(bs: range, n: int, cap: int, wfd: int) -> None:
-    """Write the count of range bs, or the error that stopped it, to wfd; never return."""
-    try:
-        try:
-            data = b"%d" % _count_range(bs, n, cap)
-        except BaseException as exc:
-            data = f"{type(exc).__name__}: {exc}".encode()
-        while data:
-            data = data[os.write(wfd, data) :]
-    finally:
-        os._exit(0)
-
-
 def _count_noonan(n: int, cap: int, threads: int) -> int:
-    """The number of tuples _noonan_tuples(n, cap) yields, split by _b_ranges.
-
-    The first range is counted here, every other one by _count_in_child in
-    a process from os.fork; one range forks nothing. A child that fails,
-    sends no count or dies by a signal raises InternalConstraintViolation
-    naming its b range. Every child is reaped, killed first if still
-    running, before this returns or raises.
-    """
+    """The number of tuples _noonan_tuples(n, cap) yields, split by _b_ranges."""
     from .avoiders import _check_cap
+    from .split import forked_sum
 
     _check_cap(n, cap, "enumeration")
-    first, *rest = _b_ranges(n, threads) or [range(0)]
-    children = {}  # pid -> (read end, b range), until reaped
-    try:
-        for bs in rest:
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _count_in_child(bs, n, cap, wfd)
-            os.close(wfd)
-            children[pid] = rfd, bs
-        total = _count_range(first, n, cap)
-        for pid, (rfd, bs) in list(children.items()):
-            data = b"".join(iter(lambda: os.read(rfd, 65536), b""))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            os.close(rfd)
-            if code == 0 and data.isdigit():
-                total += int(data)
-                continue
-            reason = data.decode(errors="replace") or f"it exited {code} with no count"
-            if code < 0:
-                reason = f"it died by signal {-code}"
-            raise InternalConstraintViolation(
-                f"the count of b = {bs.start}..{bs[-1]} in child process {pid} failed: {reason}"
-            )
-        return total
-    finally:
-        for pid, (rfd, _) in children.items():
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            os.close(rfd)
+    return forked_sum(
+        lambda bs: sum(1 for b in bs for _ in _noonan_for_b(b, n, cap)), _b_ranges(n, threads), "b"
+    )
 
 
 def enumerate_noonan(

@@ -13,7 +13,7 @@ pattern, both exhaustive:
 
 This module deliberately knows nothing about the optimized counters, the
 avoider generators, or the bijection, so that a bug elsewhere cannot
-confirm itself here.
+confirm itself here; split.forked_sum only sums the counts it is given.
 """
 
 from __future__ import annotations
@@ -95,15 +95,13 @@ def count_321_exactly_k(
     return sum(ways for (count, _), ways in layer.items() if count == k)
 
 
-def _count_block(args: tuple[int, int, tuple[int, ...], int]) -> int:
-    """Exactly-k count over permutations with a fixed first value."""
-    n, first, pattern, k = args
-    rest = [v for v in range(1, n + 1) if v != first]
-    total = 0
-    for tail in itertools.permutations(rest):
-        if count_occurrences((first,) + tail, pattern) == k:
-            total += 1
-    return total
+def _count_block(firsts: range, n: int, pattern: tuple[int, ...], k: int) -> int:
+    """Exactly-k count over the permutations whose first value is in `firsts`."""
+    return sum(
+        count_occurrences((first,) + tail, pattern) == k
+        for first in firsts
+        for tail in itertools.permutations([v for v in range(1, n + 1) if v != first])
+    )
 
 
 def brute_count_exactly_k(
@@ -118,30 +116,22 @@ def brute_count_exactly_k(
 
     Full enumeration of all n! permutations with the naive counter; exact at
     any k and for any pattern. This is the reference for count_321_exactly_k.
-    The work is partitioned by first value, across processes when
-    threads > 1, and the partial counts are summed, so the result does not
-    depend on threads.
+    split.forked_sum counts the first values 1..n in max(1, min(threads, n))
+    contiguous ranges of equal size (give or take one), in this process or in
+    one forked child each, so the result does not depend on threads.
     """
+    from .split import forked_sum
+
     _check(n, cap, k)
     if n == 0:
         return 1 if count_occurrences((), pattern.values) == k else 0
-    jobs = [(n, first, pattern.values, k) for first in range(1, n + 1)]
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(threads, len(jobs))) as pool:
-            return sum(pool.imap(_count_block, jobs))
-    return sum(map(_count_block, jobs))
+    parts = max(1, min(threads, n))
+    firsts = [range(1 + n * i // parts, 1 + n * (i + 1) // parts) for i in range(parts)]
+    return forked_sum(lambda r: _count_block(r, n, pattern.values, k), firsts, "first value")
 
 
 def brute_noonan_set(n: int, *, cap: int = DEFAULT_ORACLE_CAP) -> Iterator[Permutation]:
     """All n-permutations containing 321 exactly once, lexicographically."""
     _check(n, cap)
-    return _iter_noonan_set(n)
-
-
-def _iter_noonan_set(n: int) -> Iterator[Permutation]:
-    pattern = PATTERN_321.values
-    for vals in itertools.permutations(range(1, n + 1)):
-        if count_occurrences(vals, pattern) == 1:
-            yield Permutation(vals)
+    perms = itertools.permutations(range(1, n + 1))
+    return (Permutation(v) for v in perms if count_occurrences(v, PATTERN_321.values) == 1)

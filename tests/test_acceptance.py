@@ -33,7 +33,7 @@ def test_criterion_1_theorem_end_to_end():
     start = time.perf_counter()
     mismatches = []
     for n, want in expected.items():
-        got = brute_count_exactly_k(n, PATTERN_321, 1)
+        got = brute_count_exactly_k(n, PATTERN_321, 1, threads=2)
         closed = noonan_closed(n)
         if not (got == closed == want):
             mismatches.append((n, got, closed, want))

@@ -269,15 +269,15 @@ def test_enumerate_noonan_threads_do_not_change_the_stream():
 
 def test_b_ranges_cover_every_block_once_in_contiguous_non_empty_ranges():
     for n in range(0, 30):
-        for threads in range(1, 33):
+        for threads in range(-1, 33):
             ranges = _b_ranges(n, threads)
-            assert len(ranges) == min(threads, max(n - 2, 0))
+            assert len(ranges) == min(max(threads, 1), max(n - 2, 0))
             assert all(len(r) > 0 and r.step == 1 for r in ranges)
             # Concatenated in order they are 2..n-1, so they are contiguous.
             assert [b for r in ranges for b in r] == list(range(2, n))
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3, 16])
+@pytest.mark.parametrize("threads", [0, 1, 2, 3, 16])
 def test_split_count_is_the_closed_form_at_every_thread_count(monkeypatch, threads):
     forked = []
     fork = os.fork
@@ -292,9 +292,11 @@ def test_split_count_is_the_closed_form_at_every_thread_count(monkeypatch, threa
     for n in range(1, 12):
         forked.clear()
         assert _count_noonan(n, 14, threads) == noonan_closed(n)
-        # One range per thread, at most one per b block; the first is
-        # counted in this process. So n <= 3 forks nothing.
-        assert len(forked) == max(min(threads, n - 2) - 1, 0)
+        # One range per thread, at most one per b block. One range is
+        # counted in this process, two or more in a child each; so threads 1
+        # and n <= 3 fork nothing.
+        k = min(threads, n - 2)
+        assert len(forked) == (k if k > 1 else 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -118,7 +118,14 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert result.stdout == "[]\n"
 
 
-_LAZY_MODULES = ("argparse", "permpat.avoiders", "permpat.bijection", "permpat.oracle", "permpat.perms")
+_LAZY_MODULES = (
+    "argparse",
+    "permpat.avoiders",
+    "permpat.bijection",
+    "permpat.oracle",
+    "permpat.perms",
+    "permpat.split",
+)
 
 
 @pytest.mark.parametrize(
@@ -135,6 +142,14 @@ _LAZY_MODULES = ("argparse", "permpat.avoiders", "permpat.bijection", "permpat.o
         (
             ("compose", "--b", "2", "--sigma1", "2 1", "--sigma2", "3 4 2"),
             ["permpat.bijection", "permpat.perms"],
+        ),
+        (
+            ("enumerate", "--family", "noonan", "--n", "5", "--threads", "2"),
+            ["permpat.avoiders", "permpat.bijection", "permpat.perms"],
+        ),
+        (
+            ("noonan", "--n", "8", "--method", "bijection", "--threads", "2"),
+            ["permpat.avoiders", "permpat.bijection", "permpat.perms", "permpat.split"],
         ),
     ],
 )
@@ -409,13 +424,12 @@ def test_bijection_count_is_the_same_at_threads_1_and_2_without_pool_modules(inv
     assert result.stderr == "[]\n"
 
 
-def _fail_in(monkeypatch, parent=None, child=None):
-    """Make bijection._noonan_for_b call `parent` in this process and `child` in a fork."""
-    this = os.getpid()
+def _fail_in(monkeypatch, first=None, second=None):
+    """Make bijection._noonan_for_b call `first` for b < 7 and `second` for b >= 7."""
     real = bijection._noonan_for_b
 
     def patched(b, n, cap):
-        act = parent if os.getpid() == this else child
+        act = first if b < 7 else second
         if act is not None:
             act(b)
         return real(b, n, cap)
@@ -437,32 +451,34 @@ def _sleep(b):
 
 
 def _raise_internal(b):
-    raise InternalConstraintViolation(f"this process failed at b = {b}")
+    raise InternalConstraintViolation(f"the first range failed at b = {b}")
 
 
 @pytest.mark.parametrize(
-    "parent, child, diagnostic",
+    "first, second, diagnostic",
     [
-        (None, _raise, "the count of b = 7..10 in child process "),
-        (None, _kill_self, "the count of b = 7..10 in child process "),
-        (_raise_internal, _sleep, "this process failed at b = 2\n"),
+        (None, _raise, "b = 7..10 in child process "),
+        (None, _kill_self, "b = 7..10 in child process "),
+        (_raise_internal, _sleep, "b = 2..6 in child process "),
     ],
-    ids=["child-raises", "child-killed", "parent-raises-child-running"],
+    ids=["child-raises", "child-killed", "first-raises-second-running"],
 )
-def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, parent, child, diagnostic):
-    # At n = 11 and two threads this process counts b = 2..6 and one child
-    # b = 7..10. A sleeping child left unkilled would hold the reap past the
-    # alarm.
-    _fail_in(monkeypatch, parent, child)
+def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, first, second, diagnostic):
+    # At n = 11 and two threads one child counts b = 2..6 and another
+    # b = 7..10; this process counts nothing. A sleeping child left unkilled
+    # would hold the reap past the alarm.
+    _fail_in(monkeypatch, first, second)
     with _fails_after(10, "the failing split count"):
         code, out, err = invoke("noonan", "--n", "11", "--method", "bijection", "--threads", "2")
     assert (code, out) == (1, "")
-    assert err.startswith(f"InternalConstraintViolation: {diagnostic}")
+    assert err.startswith(f"InternalConstraintViolation: the count of {diagnostic}")
     assert err.count("\n") == 1
-    if child is _raise:
+    if second is _raise:
         assert err.endswith(" failed: ValueError: no block 7\n")
-    if child is _kill_self:
+    if second is _kill_self:
         assert err.endswith(f" failed: it died by signal {int(signal.SIGKILL)}\n")
+    if first is _raise_internal:
+        assert err.endswith(" failed: InternalConstraintViolation: the first range failed at b = 2\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -2,13 +2,15 @@ import ast
 import inspect
 import itertools
 import math
+import os
 from collections import Counter
 
 import pytest
 
 import permpat.oracle
+import permpat.split
 from permpat.catalan import catalan
-from permpat.errors import CapExceeded, InvalidRange
+from permpat.errors import CapExceeded, InternalConstraintViolation, InvalidRange
 from permpat.oracle import brute_count_exactly_k, brute_noonan_set, count_321_exactly_k
 from permpat.perms import PATTERN_321, Permutation, count_occurrences
 
@@ -33,9 +35,10 @@ def test_k_zero_recovers_catalan():
 
 
 def test_k_zero_recovers_catalan_at_full_oracle_scale():
-    # the slow end of the same invariant: 8! and 9! full passes
+    # the slow end of the same invariant: 8! and 9! full passes, each split
+    # over two forked children
     for n in (8, 9):
-        assert brute_count_exactly_k(n, PATTERN_321, 0) == catalan(n)
+        assert brute_count_exactly_k(n, PATTERN_321, 0, threads=2) == catalan(n)
 
 
 def test_counts_over_all_k_sum_to_factorial():
@@ -105,11 +108,53 @@ def test_caps_and_ranges():
         brute_noonan_set(11)
 
 
-def test_threads_do_not_change_the_count():
-    for k in (0, 1, 2):
-        assert brute_count_exactly_k(6, PATTERN_321, k, threads=3) == brute_count_exactly_k(
-            6, PATTERN_321, k
-        )
+def _counted_forks(monkeypatch):
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def test_threads_do_not_change_the_count(monkeypatch):
+    want = {k: sum(count_321_exactly_k(n, k) for n in range(8)) for k in (0, 1, 2)}
+    forked = _counted_forks(monkeypatch)
+    for threads in (-1, 0, 1, 2, 3, 16):
+        for k in (0, 1, 2):
+            forked.clear()
+            got = sum(brute_count_exactly_k(n, PATTERN_321, k, threads=threads) for n in range(8))
+            assert got == want[k], (threads, k)
+            # max(1, min(threads, n)) ranges of first values for n = 1..7: one
+            # is counted in this process, two or more in a child each.
+            parts = [max(1, min(threads, n)) for n in range(1, 8)]
+            assert len(forked) == sum(p for p in parts if p > 1), threads
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_child_names_its_first_values_and_leaves_no_process(monkeypatch):
+    counted = permpat.oracle.count_occurrences
+
+    def failing(values, pattern):
+        if values[0] >= 4:
+            raise ValueError(f"no first value {values[0]}")
+        return counted(values, pattern)
+
+    # A module global, so the forked children inherit it.
+    monkeypatch.setattr(permpat.oracle, "count_occurrences", failing)
+    with pytest.raises(InternalConstraintViolation) as info:
+        brute_count_exactly_k(6, PATTERN_321, 1, threads=2)
+    message = str(info.value)
+    assert message.startswith("the count of first value = 4..6 in child process ")
+    assert message.endswith(" failed: ValueError: no first value 4")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_progress_callback_runs_once_per_position():
@@ -138,9 +183,9 @@ def test_oracle_is_independent_of_the_optimized_paths():
         (0, "__future__"): None,
         (0, "collections.abc"): None,
         (0, "itertools"): None,
-        (0, "multiprocessing"): None,
         (1, "errors"): None,
         (1, "perms"): {"PATTERN_321", "Permutation", "count_occurrences"},
+        (1, "split"): {"forked_sum"},
     }
     imported = set()
     tree = ast.parse(inspect.getsource(permpat.oracle))
@@ -155,3 +200,11 @@ def test_oracle_is_independent_of_the_optimized_paths():
             assert allowed[key] is None or names <= allowed[key], names - allowed[key]
             imported |= names
     assert "count_occurrences" in imported
+    # The split only sums what the oracle's own count returns: it takes
+    # nothing from the package but its errors.
+    for node in ast.walk(ast.parse(inspect.getsource(permpat.split))):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.level, node.module)
+            assert module == (1, "errors") or not (node.level or "permpat" in node.module), module
+        elif isinstance(node, ast.Import):
+            assert not any("permpat" in alias.name for alias in node.names)

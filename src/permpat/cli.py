@@ -68,13 +68,13 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_count(args: SimpleNamespace) -> int:
-    from .perms import PATTERN_321, count_321_fenwick, count_pattern, parse_one_line
+    from .perms import PATTERN_321, count_321, count_pattern, parse_one_line
 
     perm = parse_one_line(args.perm)
     pattern = parse_one_line(args.pattern)
-    # 321 has an O(n log n) counter; the generic one costs a step per occurrence.
+    # 321 has a sorted-prefix counter; the generic one costs a step per occurrence.
     if pattern == PATTERN_321:
-        print(count_321_fenwick(perm))
+        print(count_321(perm))
         return 0
     n, m = len(perm), len(pattern)
     if binomial(n, m) > _COUNT_WORK_CAP:

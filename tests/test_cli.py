@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import os
 import random
 import signal
@@ -44,7 +45,7 @@ def test_count(invoke):
 
 @pytest.mark.parametrize("pattern", [None, "2 1 3"])
 def test_count_matches_the_naive_counter(invoke, pattern):
-    # Pattern 321 is answered by the Fenwick counter, others by the generic one.
+    # Pattern 321 is answered by the sorted-prefix counter, others by the generic one.
     rng = random.Random(3000 if pattern is None else 213)
     flag = [] if pattern is None else ["--pattern", pattern]
     values = (3, 2, 1) if pattern is None else (2, 1, 3)
@@ -85,6 +86,19 @@ def test_count_321_is_fast_at_n_3000(invoke):
         elapsed = time.perf_counter() - start
     assert code == 0 and int(out) > 0
     assert elapsed < 1.0, f"count at n = 3000 took {elapsed:.2f} s"
+
+
+def test_the_longest_perm_arguments_are_answered(invoke):
+    # One execve argument holds at most 128 KiB, about n = 23,700 values;
+    # decreasing is the worst order for the sorted-prefix insertions.
+    n = 23000
+    with _fails_after(10, f"count of the decreasing permutation at n = {n}"):
+        code, out, err = invoke("count", "--perm", " ".join(map(str, range(n, 0, -1))))
+    assert (code, out, err) == (0, f"{math.comb(n, 3)}\n", "")
+    tail = " ".join(map(str, range(4, n + 1)))
+    with _fails_after(10, f"decompose at n = {n}"):
+        code, out, err = invoke("decompose", "--perm", f"3 2 1 {tail}")
+    assert (code, out, err) == (0, f"b=2 | sigma1=2 1 | sigma2=3 2 {tail}\n", "")
 
 
 def test_count_caps_the_generic_counter(invoke):
@@ -460,8 +474,9 @@ def _raise_internal(b):
         (None, _raise, "b = 7..10 in child process "),
         (None, _kill_self, "b = 7..10 in child process "),
         (_raise_internal, _sleep, "b = 2..6 in child process "),
+        (_sleep, _raise, "b = 7..10 in child process "),
     ],
-    ids=["child-raises", "child-killed", "first-raises-second-running"],
+    ids=["child-raises", "child-killed", "first-raises-second-running", "second-raises-first-running"],
 )
 def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, first, second, diagnostic):
     # At n = 11 and two threads one child counts b = 2..6 and another

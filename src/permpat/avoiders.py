@@ -5,8 +5,8 @@ Besides plain avoiders of {1..n}, two constrained families are generated:
 - left factors: 321-avoiding permutations of {1..b} whose last value is not b
   (there are C_b - C_{b-1} of them);
 - right factors: 321-avoiding sequences over {b..n} whose first value is not b
-  (there are C_{n-b+1} - C_{n-b} of them), produced by generating avoiders of
-  length n-b+1 and shifting every value up by b-1.
+  (there are C_{n-b+1} - C_{n-b} of them), walked over the values b..n,
+  one block per first value b+1..n.
 
 All streams are emitted in strictly increasing lexicographic order of the
 one-line notation. An avoider's prefix continues only with the smallest
@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterator
 from functools import cache
+from itertools import chain
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalConstraintViolation, InvalidRange
@@ -74,15 +75,15 @@ def _patterns(k: int, s: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _avoiders(
-    m: int, first: int | None = None, *, max_last: bool = True
+    lo: int, hi: int, first: int | None = None, *, max_last: bool = True
 ) -> Iterator[tuple[int, ...]]:
-    """All 321-avoiding arrangements of 1..m, lexicographically.
+    """All 321-avoiding arrangements of the values lo..hi, lexicographically.
 
     With `first` given, only those starting with that value. With
-    `max_last` false, only those not ending with m.
+    `max_last` false, only those not ending with hi.
     """
     head = () if first is None else (first,)
-    unused = tuple(v for v in range(1, m + 1) if v != first)
+    unused = tuple(v for v in range(lo, hi + 1) if v != first)
     k = min(_TAIL, len(unused))
     # Depth-first over the prefixes that leave k values unused, children
     # pushed in reverse so that they pop in increasing order.
@@ -91,7 +92,7 @@ def _avoiders(
         prefix, top, unused = stack.pop()
         s = bisect(unused, top)
         if len(unused) == k:
-            gets = _tails(k, s, max_last or m not in unused)
+            gets = _tails(k, s, max_last or hi not in unused)
             yield from [prefix + get(unused) for get in gets]
             continue
         for i in reversed((0, *range(max(s, 1), len(unused)))):
@@ -117,27 +118,22 @@ def _checked(tuples: Iterator[tuple[int, ...]], lo: int, hi: int) -> Iterator[tu
 
 def _avoider_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     _check_cap(n, cap, "avoider generation")
-    return _checked(_avoiders(n), 1, n)
+    return _checked(_avoiders(1, n), 1, n)
 
 
 def _sigma1_tuples(b: int, cap: int) -> Iterator[tuple[int, ...]]:
     if b < 2:
         raise InvalidRange(f"the middle value b must be at least 2, got {b}")
     _check_cap(b, cap, "left-factor generation")
-    return _checked(_avoiders(b, max_last=False), 1, b)
+    return _checked(_avoiders(1, b, max_last=False), 1, b)
 
 
 def _sigma2_tuples(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
     if not 2 <= b <= n - 1:
         raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
-    m = n - b + 1
-    _check_cap(m, cap, "right-factor generation")
-    shifted = list(range(b - 1, n + 1)).__getitem__
-    # An avoider starting with 1 shifts to a sequence starting with b, so
-    # only the first values 2..m are generated.
-    return _checked(
-        (tuple(map(shifted, vals)) for f in range(2, m + 1) for vals in _avoiders(m, f)), b, n
-    )
+    _check_cap(n - b + 1, cap, "right-factor generation")
+    # Only the first values b+1..n are walked: no factor starts with b.
+    return _checked(chain.from_iterable(_avoiders(b, n, f) for f in range(b + 1, n + 1)), b, n)
 
 
 def enumerate_avoiders(n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:

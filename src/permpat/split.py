@@ -22,8 +22,9 @@ def forked_sum(count: Callable[[range], int], parts: list[range], what: str) -> 
     pid: one that fails, exits nonzero, sends no count or dies by a signal
     raises InternalConstraintViolation naming `what` and its range as soon
     as it ends, while children forked before it may still be counting.
-    Every child is reaped, killed first if still running, before this
-    returns or raises; children of the caller's own are left alone.
+    Every child is reaped, killed first if still running, and every pipe
+    closed before this returns or raises, also when a fork fails; children
+    of the caller's own are left alone.
     """
     if len(parts) < 2:
         return sum(map(count, parts))
@@ -31,7 +32,12 @@ def forked_sum(count: Callable[[range], int], parts: list[range], what: str) -> 
     try:
         for part in parts:
             rfd, wfd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(rfd)
+                os.close(wfd)
+                raise
             if pid == 0:
                 try:
                     try:

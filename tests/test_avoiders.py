@@ -156,21 +156,26 @@ def test_avoiders_cap():
         next(enumerate_avoiders(-1))
 
 
+# Value intervals lo..hi of up to 8 values; those starting above 1 stand for
+# the right factors' intervals b..n.
+INTERVALS = [(1, m) for m in range(9)] + [(lo, lo + m - 1) for lo in (2, 5) for m in range(9)]
+
+
 def test_raw_generator_equals_filtering_all_permutations():
     # The table-read tails and the first-value and last-value restrictions
     # against a plain filter of every permutation.
-    for m in range(9):
-        filtered = [vals for vals in itertools.permutations(range(1, m + 1)) if is_avoiding_321(vals)]
-        assert list(_avoiders(m)) == filtered
-        assert list(_avoiders(m, max_last=False)) == [v for v in filtered if v[-1:] != (m,)]
-        for f in range(1, m + 1):
-            assert list(_avoiders(m, f)) == [v for v in filtered if v[0] == f]
+    for lo, hi in INTERVALS:
+        filtered = [v for v in itertools.permutations(range(lo, hi + 1)) if is_avoiding_321(v)]
+        assert list(_avoiders(lo, hi)) == filtered
+        assert list(_avoiders(lo, hi, max_last=False)) == [v for v in filtered if v[-1:] != (hi,)]
+        for f in range(lo, hi + 1):
+            assert list(_avoiders(lo, hi, f)) == [v for v in filtered if v[0] == f]
 
 
 def test_avoiders_of_length_13_are_catalan_many_and_strictly_increasing():
     count = 0
     prev = ()
-    for vals in _avoiders(13):
+    for vals in _avoiders(1, 13):
         assert vals > prev
         prev = vals
         count += 1
@@ -207,10 +212,10 @@ def test_importing_avoiders_builds_no_table():
 
 
 def test_first_value_blocks_concatenate_to_the_full_stream():
-    # sigma2 generates only the first values 2..m; the blocks must tile the stream.
-    for m in range(1, 10):
-        blocks = [vals for f in range(1, m + 1) for vals in _avoiders(m, f)]
-        assert blocks == list(_avoiders(m))
+    # sigma2 walks only the first values b+1..n; the blocks must tile the stream.
+    for lo, hi in [(lo, hi) for lo, hi in INTERVALS if lo <= hi] + [(1, 9)]:
+        blocks = [vals for f in range(lo, hi + 1) for vals in _avoiders(lo, hi, f)]
+        assert blocks == list(_avoiders(lo, hi))
 
 
 # --- enumerate_sigma1 ---------------------------------------------------
@@ -268,12 +273,13 @@ def test_sigma2_counts_and_constraints():
 
 
 def test_sigma2_is_the_filtered_avoider_stream():
-    # The stream skips the avoiders starting with 1 instead of discarding them.
+    # An independent reference: the avoiders of 1..n-b+1 not starting with 1,
+    # every value shifted up by b-1.
     for n in range(3, 11):
         for b in range(2, n):
             filtered = [
                 tuple(v + b - 1 for v in vals)
-                for vals in _avoiders(n - b + 1)
+                for vals in _avoiders(1, n - b + 1)
                 if vals[0] != 1
             ]
             assert [s.values for s in enumerate_sigma2(b, n)] == filtered

@@ -3,7 +3,7 @@ import inspect
 import itertools
 import math
 import os
-from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -41,11 +41,36 @@ def test_k_zero_recovers_catalan_at_full_oracle_scale():
         assert brute_count_exactly_k(n, PATTERN_321, 0, threads=2) == catalan(n)
 
 
+@cache
+def _naive_tally(n):
+    # {k: n-permutations with exactly k 321s}, every k from one naive n! scan
+    tally = {}
+    for v in itertools.permutations(range(1, n + 1)):
+        k = count_occurrences(v, PATTERN_321.values)
+        tally[k] = tally.get(k, 0) + 1
+    return tally
+
+
 def test_counts_over_all_k_sum_to_factorial():
-    for n in range(8):
-        max_k = math.comb(n, 3)
-        total = sum(brute_count_exactly_k(n, PATTERN_321, k) for k in range(max_k + 1))
-        assert total == math.factorial(n)
+    for n in range(9):
+        assert sum(_naive_tally(n).values()) == math.factorial(n)
+
+
+def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula():
+    for n in range(9):
+        tally = _naive_tally(n)
+        # each triple of positions is a 321 with probability 1/6
+        assert 6 * sum(k * a for k, a in tally.items()) == math.factorial(n) * math.comb(n, 3)
+        if n >= 3:
+            # only the decreasing permutation has every triple a 321
+            assert tally[math.comb(n, 3)] == 1
+        if n >= 4:
+            # Noonan and Zeilberger's exactly-two count, proved by Fulmek (2003)
+            two, rest = divmod(
+                (59 * n * n + 117 * n + 100) * math.comb(2 * n, n - 4),
+                2 * n * (2 * n - 1) * (n + 5),
+            )
+            assert (tally[2], rest) == (two, 0), n
 
 
 def test_other_patterns_are_supported():
@@ -164,14 +189,11 @@ def test_progress_callback_runs_once_per_position():
 
 
 def test_state_count_equals_a_naive_tally_for_every_k():
-    for n in range(8):
-        # one naive pass tallies every k at once, as the n! scan counts them
-        tally = Counter(
-            count_occurrences(v, PATTERN_321.values) for v in itertools.permutations(range(1, n + 1))
-        )
+    for n in range(9):
+        tally = _naive_tally(n)
         for k in range(math.comb(n, 3) + 2):
-            assert count_321_exactly_k(n, k) == tally[k], (n, k)
-    assert brute_count_exactly_k(7, PATTERN_321, 1) == tally[1]
+            assert count_321_exactly_k(n, k) == tally.get(k, 0), (n, k)
+    assert brute_count_exactly_k(7, PATTERN_321, 1) == _naive_tally(7)[1]
 
 
 def test_oracle_is_independent_of_the_optimized_paths():

@@ -34,6 +34,30 @@ def test_two_or_more_parts_are_each_counted_in_a_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    return sorted(map(int, os.listdir("/proc/self/fd")))
+
+
+def test_a_fork_that_raises_closes_its_pipe_and_reaps_the_children_before_it(monkeypatch):
+    # The second fork fails as it does under a process limit (EAGAIN).
+    real_fork = os.fork
+    forks = []
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(real_fork())
+        return forks[-1]
+
+    before = _open_fds()
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(BlockingIOError):
+        forked_sum(len, [range(0, 2), range(2, 5)], "v")
+    assert _open_fds() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @contextlib.contextmanager
 def _fails_after(seconds, what):
     # SIGALRM turns a wait on a running child into a test failure.

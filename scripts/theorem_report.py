@@ -51,7 +51,7 @@ def main(argv=None):
         t0 = time.perf_counter()
         oracle = brute_count_exactly_k(n, PATTERN_321, 1, cap=max(10, n),
                                        threads=args.threads)
-        states = count_321_exactly_k(n, 1, cap=max(10, n))
+        states = count_321_exactly_k(n, 1)
         bij = sum(1 for _ in enumerate_noonan(n))
         closed = noonan_closed(n)
         cat = noonan_catalan_form(n)

@@ -58,6 +58,7 @@ _LAZY = {
         "brute_count_exactly_k",
         "brute_noonan_set",
         "count_321_exactly_k",
+        "distribution_321",
     ),
     "perms": (
         "DEFAULT_CAP",
@@ -66,7 +67,6 @@ _LAZY = {
         "Permutation",
         "ValueSequence",
         "count_321",
-        "count_321_fenwick",
         "count_occurrences",
         "count_pattern",
         "find_unique_321",
@@ -123,10 +123,10 @@ __all__ = [
     "compose",
     "count_321",
     "count_321_exactly_k",
-    "count_321_fenwick",
     "count_occurrences",
     "count_pattern",
     "decompose",
+    "distribution_321",
     "enumerate_avoiders",
     "enumerate_noonan",
     "enumerate_sigma1",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from types import SimpleNamespace
 
@@ -87,30 +87,13 @@ def _cmd_count(args: SimpleNamespace) -> int:
     return 0
 
 
-def _oracle_cap(args: SimpleNamespace) -> int:
-    from .oracle import DEFAULT_ORACLE_CAP
-
-    cap = args.cap if args.cap is not None else DEFAULT_ORACLE_CAP
-    if args.n > DEFAULT_ORACLE_CAP and cap > DEFAULT_ORACLE_CAP:
-        print(
-            f"warning: exhaustive count at n = {args.n}: for mid-range k its time grows "
-            f"5-8x and its memory 4x per step of n past 10 (about 1.3 s and 47 MB at "
-            f"n = 10, 7.4 s and 190 MB at n = 11); k = 1 takes about 1.5 s at n = 30",
-            file=sys.stderr,
-        )
-    return cap
-
-
-def _oracle_progress(args: SimpleNamespace) -> Callable[[int, int], None] | None:
-    if not args.progress:
-        return None
-    return lambda done, total: print(f"{done}/{total} positions done", file=sys.stderr)
-
-
 def _oracle_count(args: SimpleNamespace, k: int) -> int:
     from .oracle import count_321_exactly_k
 
-    return count_321_exactly_k(args.n, k, cap=_oracle_cap(args), progress=_oracle_progress(args))
+    def report(done: int, total: int) -> None:
+        print(f"{done}/{total} positions done", file=sys.stderr)
+
+    return count_321_exactly_k(args.n, k, cap=args.cap, progress=report if args.progress else None)
 
 
 def _write_lines(lines: Iterable[str], batch: int = _BATCH, progress: bool = False) -> int:
@@ -272,7 +255,7 @@ _WORK_FLAGS = {
         "processes for the bijection count (noonan --method bijection); "
         "every other command runs in one process; the output never depends on it",
     ),
-    "--cap": (int, None, "override the size cap"),
+    "--cap": (int, None, "override the size cap; the oracle then has no state budget"),
     "--progress": (None, False, "write progress to stderr"),
 }
 _COMMANDS = {

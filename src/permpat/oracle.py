@@ -3,10 +3,11 @@
 Two exact counters of the n-permutations with exactly k occurrences of a
 pattern, both exhaustive:
 
-- count_321_exactly_k, which the CLI uses, counts for the pattern 321 over
-  prefix states. It builds every permutation position by position, but
-  counts together the prefixes whose futures are the same, and drops a
-  prefix once no completion of it can have exactly k occurrences.
+- distribution_321, which the CLI uses through count_321_exactly_k, counts
+  for the pattern 321 over prefix states, every k up to a bound at once.
+  It builds every permutation position by position, but counts together
+  the prefixes whose futures are the same, and drops a prefix once no
+  completion of it can have at most that many occurrences.
 - brute_count_exactly_k is the reference that checks it, for any pattern:
   it enumerates all n! permutations and counts occurrences with the naive
   generic counter.
@@ -24,13 +25,21 @@ from collections.abc import Callable, Iterator
 from .errors import CapExceeded, InvalidRange
 from .perms import PATTERN_321, Permutation, count_occurrences
 
+# The n cap of the two n! scans, brute_count_exactly_k and brute_noonan_set.
 DEFAULT_ORACLE_CAP = 10
+# Without an explicit cap, distribution_321 refuses a layer once its live
+# states times the values still unused in each pass this budget: that is
+# the number of children the next layer tries, and its time follows it.
+# Every n <= 10 at any k stays under 43,000, n = 30 at k = 1 at 110,000.
+STATE_BUDGET = 200_000
+# called as progress(done, n) after each layer of the state count
+Progress = Callable[[int, int], None] | None
 
 
-def _check(n: int, cap: int, k: int = 0) -> None:
+def _check(n: int, cap: int | None, k: int = 0) -> None:
     if n < 0:
         raise InvalidRange(f"need n >= 0, got {n}")
-    if n > cap:
+    if cap is not None and n > cap:
         raise CapExceeded(
             f"exhaustive count at n = {n} exceeds the cap {cap}; "
             f"raise the cap explicitly if you can afford the runtime"
@@ -39,16 +48,21 @@ def _check(n: int, cap: int, k: int = 0) -> None:
         raise InvalidRange(f"need k >= 0, got {k}")
 
 
-def count_321_exactly_k(
-    n: int,
-    k: int,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-    progress: Callable[[int, int], None] | None = None,
-) -> int:
-    """Number of n-permutations with exactly k occurrences of 321.
+def _over_budget(n: int, upto: int, done: int) -> CapExceeded:
+    return CapExceeded(
+        f"the 321 state count at n = {n} up to k = {upto} passed its budget of "
+        f"{STATE_BUDGET} live states times unused values at layer {done} of {n}; "
+        f"raise the cap explicitly if you can afford the runtime"
+    )
 
-    An exhaustive count over prefix states, one layer per position, checked
+
+def distribution_321(
+    n: int, upto: int, *, cap: int | None = None, progress: Progress = None
+) -> list[int]:
+    """[a_0, ..., a_m]: a_k n-permutations have exactly k occurrences of 321.
+
+    m = min(upto, C(n, 3)), as no n-permutation has more occurrences. An
+    exhaustive count over prefix states, one layer per position, checked
     against brute_count_exactly_k. Appending x to a prefix adds one
     occurrence for each 21-pair of the prefix whose lower value is above x,
     and each prefix value above x becomes the top of a new 21-pair. So what
@@ -59,40 +73,70 @@ def count_321_exactly_k(
     - f, the number of prefix 21-pairs whose lower value is above y.
 
     Appending x adds f(x) occurrences, and for every unused y < x it adds 1
-    to g(y) and g(x) to f(y). Both g and f fall as y rises. Occurrences are
-    never removed, and each unused y adds at least its f when it comes, so
-    a state is dead once the f of its lowest unused value exceeds the
-    budget k - count. And g is capped at budget + 1, because appending a
-    value with a larger g pushes the f of every lower unused value past the
-    budget. `progress(done, n)` is invoked after each layer.
+    to g(y) and g(x) to f(y). Each state holds its prefixes by running
+    count c <= m, packed into one integer: w bits per count, the count of c
+    at bit c * w. No count exceeds n! < 2 ** w, so appending x shifts them
+    by f(x) * w and merging two states adds the integers. Both g and f fall
+    as y rises. Occurrences are never removed, and the lowest unused value
+    adds at least its f when it comes, so a prefix is dropped once its
+    count plus that f exceeds m. And g is capped at m + 1, because
+    appending a value with a larger g pushes the f of every lower unused
+    value past m.
+
+    Without `cap`, CapExceeded is raised as soon as a layer's live states
+    times its unused values pass STATE_BUDGET; an explicit cap refuses
+    n > cap instead, and lifts the budget. `progress(done, n)` is invoked
+    after each layer.
+
+    >>> distribution_321(5, 3)
+    [42, 27, 24, 7]
+    """
+    _check(n, cap, upto)
+    if cap is None and n > STATE_BUDGET:
+        # the first layer is one state of n unused values
+        raise _over_budget(n, upto, 0)
+    top = min(upto, n * (n - 1) * (n - 2) // 6)
+    w = 1 + sum(v.bit_length() for v in range(2, n + 1))  # n! < 2 ** w
+    # (g, f) of each unused value, increasing -> its prefixes by count, packed
+    layer = {((0, 0),) * n: 1}
+    for done in range(1, n + 1):
+        most = STATE_BUDGET // max(1, n - done) if cap is None else float("inf")
+        after: dict[tuple[tuple[int, int], ...], int] = {}
+        for state, ways in layer.items():
+            for i, (gx, fx) in enumerate(state):
+                # the f of the lowest value still unused after x
+                low = state[0][1] + gx if i else state[1][1] if len(state) > 1 else 0
+                room = top - fx - low
+                if room < 0:
+                    continue
+                bits = (room + 1) * w  # the counts c <= room
+                kept = ways if ways.bit_length() <= bits else ways & (1 << bits) - 1
+                if not kept:
+                    continue
+                # g rises by one below x, up to top + 1
+                key = tuple([(g + (g <= top), f + gx) for g, f in state[:i]]) + state[i + 1 :]
+                after[key] = after.get(key, 0) + (kept << fx * w)
+                if len(after) > most:
+                    raise _over_budget(n, upto, done)
+        layer = after
+        if progress is not None:
+            progress(done, n)
+    # the one state left has no unused value
+    return [layer[()] >> c * w & (1 << w) - 1 for c in range(top + 1)]
+
+
+def count_321_exactly_k(
+    n: int, k: int, *, cap: int | None = None, progress: Progress = None
+) -> int:
+    """Number of n-permutations with exactly k occurrences of 321.
+
+    The k-th entry of distribution_321(n, k), or 0 above C(n, 3).
 
     >>> count_321_exactly_k(5, 1)
     27
     """
-    _check(n, cap, k)
-    # (count, ((g, f) of each unused value, increasing)) -> prefixes in that state
-    layer = {(0, ((0, 0),) * n): 1}
-    for done in range(1, n + 1):
-        after: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
-        for (count, state), ways in layer.items():
-            for i, (gx, fx) in enumerate(state):
-                budget = k - count - fx
-                # state[0] is the lowest unused value; below x its f grows by gx
-                if budget < 0 or (i and state[0][1] + gx > budget):
-                    continue
-                top = budget + 1
-                below = tuple([(g + 1 if g < top else top, f + gx) for g, f in state[:i]])
-                if fx:
-                    # the budget fell: cap g again (a state now dead drops out next layer)
-                    above = tuple([(g if g < top else top, f) for g, f in state[i + 1 :]])
-                else:
-                    above = state[i + 1 :]
-                key = (k - budget, below + above)
-                after[key] = after.get(key, 0) + ways
-        layer = after
-        if progress is not None:
-            progress(done, n)
-    return sum(ways for (count, _), ways in layer.items() if count == k)
+    ways = distribution_321(n, k, cap=cap, progress=progress)
+    return ways[k] if k < len(ways) else 0
 
 
 def _count_block(firsts: range, n: int, pattern: tuple[int, ...], k: int) -> int:
@@ -105,12 +149,7 @@ def _count_block(firsts: range, n: int, pattern: tuple[int, ...], k: int) -> int
 
 
 def brute_count_exactly_k(
-    n: int,
-    pattern: Permutation,
-    k: int,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-    threads: int = 1,
+    n: int, pattern: Permutation, k: int, *, cap: int = DEFAULT_ORACLE_CAP, threads: int = 1
 ) -> int:
     """Number of n-permutations with exactly k occurrences of `pattern`.
 

@@ -296,10 +296,6 @@ def count_321(perm: Permutation) -> int:
     return _sorted_and_321(perm.values)[1]
 
 
-# An older public name of the same counter, kept for its callers.
-count_321_fenwick = count_321
-
-
 def _sorted_and_321(values: Sequence[int]) -> tuple[list[int], int]:
     """The sorted values and count_321's middle-position sum, in one pass.
 

@@ -19,7 +19,12 @@ from permpat.catalan import (
     noonan_convolution,
 )
 from permpat.cli import run
-from permpat.oracle import brute_count_exactly_k, brute_noonan_set, count_321_exactly_k
+from permpat.oracle import (
+    brute_count_exactly_k,
+    brute_noonan_set,
+    count_321_exactly_k,
+    distribution_321,
+)
 from permpat.perms import PATTERN_321, Permutation, count_321, count_pattern
 
 
@@ -53,16 +58,18 @@ def test_state_oracle_confirms_the_closed_forms_to_n_30():
             2 * n * (2 * n - 1) * (n + 5)
         )
 
+    # a_1 and a_2 off one row per n <= 16, a_1 alone past it; no cap, so
+    # the state budget admits each of them
     start = time.perf_counter()
     mismatches = [
-        (n, 1, got)
-        for n in [*range(3, 21), 30]
-        if (got := count_321_exactly_k(n, 1, cap=n)) != noonan_closed(n)
+        (n, got)
+        for n in range(4, 17)
+        if (got := distribution_321(n, 2)[1:]) != [noonan_closed(n), exactly_two(n)]
     ]
     mismatches += [
-        (n, 2, got)
-        for n in range(4, 17)
-        if (got := count_321_exactly_k(n, 2, cap=n)) != exactly_two(n)
+        (n, got)
+        for n in [3, *range(17, 21), 30]
+        if (got := count_321_exactly_k(n, 1)) != noonan_closed(n)
     ]
     elapsed = time.perf_counter() - start
     _report(

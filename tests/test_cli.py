@@ -498,6 +498,24 @@ def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, f
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_oracle_refuses_a_layer_past_its_budget_fast(invoke):
+    # Without the budget each would run for minutes or run out of memory;
+    # the alarm turns a missing budget into a failure instead of a stuck run.
+    for n, k, layer in (("1000", "1", 1), ("12", "30", 5), ("1000000", "1", 0)):
+        with _fails_after(10, f"oracle --n {n} --k {k}"):
+            code, out, err = invoke("oracle", "--n", n, "--k", k)
+        assert (code, out) == (1, "")
+        assert err.startswith("CapExceeded: ") and f" at layer {layer} of {n};" in err, err
+
+
+def test_oracle_answers_a_huge_k_and_n_12_without_a_cap(invoke):
+    # k above C(n, 3) needs no row of length k; n = 12 at k = 1 is cheap
+    with _fails_after(10, "oracle --n 5 --k 1000000000"):
+        assert invoke("oracle", "--n", "5", "--k", "1000000000") == (0, "0\n", "")
+    with _fails_after(10, "oracle --n 12"):
+        assert invoke("oracle", "--n", "12") == invoke("noonan", "--n", "12")
+
+
 def test_progress_goes_to_stderr_only(invoke):
     quiet = invoke("oracle", "--n", "5")
     chatty = invoke("oracle", "--n", "5", "--progress")
@@ -519,7 +537,7 @@ def test_domain_errors_exit_1_with_named_diagnostic(invoke):
         (("enumerate", "--family", "sigma2", "--b", "5", "--n", "5"), "InvalidRange"),
         (("enumerate", "--family", "sigma1", "--b", "1"), "InvalidRange"),
         (("enumerate", "--family", "noonan", "--n", "-3"), "InvalidRange"),
-        (("oracle", "--n", "12"), "CapExceeded"),
+        (("oracle", "--n", "50"), "CapExceeded"),
         (("noonan", "--n", "0"), "InvalidRange"),
         (("noonan", "--n", "0", "--method", "oracle"), "InvalidRange"),
         (("noonan", "--n", "0", "--method", "bijection"), "InvalidRange"),
@@ -627,16 +645,3 @@ def test_table_parse_leaves_everything_else_to_argparse(argv):
 def test_oracle_cap_override_is_allowed_below_the_default(invoke):
     code, out, err = invoke("oracle", "--n", "5", "--cap", "11")
     assert (code, out, err) == (0, "27\n", "")
-
-
-def test_oracle_warns_before_a_long_run(capsys):
-    # the warning is decided from (n, cap) alone, so it can be checked
-    # without actually paying for an n=11 run
-    import argparse
-
-    from permpat.cli import _oracle_cap
-
-    assert _oracle_cap(argparse.Namespace(n=11, cap=11)) == 11
-    assert "per step of n" in capsys.readouterr().err
-    assert _oracle_cap(argparse.Namespace(n=9, cap=None)) == 10
-    assert capsys.readouterr().err == ""

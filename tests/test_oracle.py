@@ -9,9 +9,14 @@ import pytest
 
 import permpat.oracle
 import permpat.split
-from permpat.catalan import catalan
+from permpat.catalan import catalan, noonan_closed
 from permpat.errors import CapExceeded, InternalConstraintViolation, InvalidRange
-from permpat.oracle import brute_count_exactly_k, brute_noonan_set, count_321_exactly_k
+from permpat.oracle import (
+    brute_count_exactly_k,
+    brute_noonan_set,
+    count_321_exactly_k,
+    distribution_321,
+)
 from permpat.perms import PATTERN_321, Permutation, count_occurrences
 
 
@@ -56,6 +61,16 @@ def test_counts_over_all_k_sum_to_factorial():
         assert sum(_naive_tally(n).values()) == math.factorial(n)
 
 
+def _exactly_two(n):
+    # Noonan and Zeilberger's exactly-two count, proved by Fulmek (2003)
+    two, rest = divmod(
+        (59 * n * n + 117 * n + 100) * math.comb(2 * n, n - 4),
+        2 * n * (2 * n - 1) * (n + 5),
+    )
+    assert rest == 0, n
+    return two
+
+
 def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula():
     for n in range(9):
         tally = _naive_tally(n)
@@ -65,12 +80,7 @@ def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula():
             # only the decreasing permutation has every triple a 321
             assert tally[math.comb(n, 3)] == 1
         if n >= 4:
-            # Noonan and Zeilberger's exactly-two count, proved by Fulmek (2003)
-            two, rest = divmod(
-                (59 * n * n + 117 * n + 100) * math.comb(2 * n, n - 4),
-                2 * n * (2 * n - 1) * (n + 5),
-            )
-            assert (tally[2], rest) == (two, 0), n
+            assert tally[2] == _exactly_two(n), n
 
 
 def test_other_patterns_are_supported():
@@ -119,9 +129,12 @@ def test_noonan_set_is_lexicographic():
 
 
 def test_caps_and_ranges():
+    # The n! scans refuse n past their default cap; the state count has none
+    # by default, only a budget on its layers.
+    with pytest.raises(CapExceeded, match="at n = 11 exceeds the cap 10"):
+        brute_count_exactly_k(11, PATTERN_321, 1)
+    assert _state_count(11, PATTERN_321, 1) == noonan_closed(11)
     for count in (brute_count_exactly_k, _state_count):
-        with pytest.raises(CapExceeded, match="at n = 11 exceeds the cap 10"):
-            count(11, PATTERN_321, 1)
         with pytest.raises(CapExceeded, match="exceeds the cap 4"):
             count(5, PATTERN_321, 1, cap=4)
         assert count(5, PATTERN_321, 1, cap=5) == 27
@@ -191,9 +204,32 @@ def test_progress_callback_runs_once_per_position():
 def test_state_count_equals_a_naive_tally_for_every_k():
     for n in range(9):
         tally = _naive_tally(n)
-        for k in range(math.comb(n, 3) + 2):
-            assert count_321_exactly_k(n, k) == tally.get(k, 0), (n, k)
+        row = distribution_321(n, math.comb(n, 3))
+        assert row == [tally.get(k, 0) for k in range(math.comb(n, 3) + 1)], n
+        # past C(n, 3) the row stops, and the count is 0
+        assert distribution_321(n, math.comb(n, 3) + 5) == row
+        assert count_321_exactly_k(n, math.comb(n, 3) + 1) == 0
     assert brute_count_exactly_k(7, PATTERN_321, 1) == _naive_tally(7)[1]
+
+
+def test_state_count_rows_at_n_9_and_10():
+    # past the naive tally's reach, the whole row against what is known of it
+    for n in (9, 10):
+        top = math.comb(n, 3)
+        row = distribution_321(n, top)
+        assert len(row) == top + 1
+        assert sum(row) == math.factorial(n)
+        assert 6 * sum(k * a for k, a in enumerate(row)) == math.factorial(n) * top
+        assert row[:3] == [catalan(n), noonan_closed(n), _exactly_two(n)]
+        assert row[top] == 1
+
+
+def test_an_explicit_cap_lifts_the_state_budget(monkeypatch):
+    # the CLI tests check the refusals at the real budget
+    monkeypatch.setattr(permpat.oracle, "STATE_BUDGET", 100)
+    with pytest.raises(CapExceeded, match="budget of 100 live states times unused values"):
+        distribution_321(8, 3)
+    assert distribution_321(8, 3, cap=8) == [_naive_tally(8)[k] for k in range(4)]
 
 
 def test_oracle_is_independent_of_the_optimized_paths():

@@ -20,7 +20,6 @@ from permpat.perms import (
     Permutation,
     ValueSequence,
     count_321,
-    count_321_fenwick,
     count_occurrences,
     count_pattern,
     find_unique_321,
@@ -177,7 +176,6 @@ def test_counters_agree_exhaustively_up_to_6():
             p = Permutation(vals)
             naive = count_pattern(p, PATTERN_321)
             assert count_321(p) == naive
-            assert count_321_fenwick(p) == naive
 
 
 def test_counters_agree_on_random_sample():
@@ -189,13 +187,12 @@ def test_counters_agree_on_random_sample():
         p = Permutation(tuple(vals))
         naive = count_pattern(p, PATTERN_321)
         assert count_321(p) == naive
-        assert count_321_fenwick(p) == naive
 
 
 @given(perms_up_to(9))
 def test_counters_agree_property(values):
     p = Permutation(tuple(values))
-    assert count_321(p) == count_pattern(p, PATTERN_321) == count_321_fenwick(p)
+    assert count_321(p) == count_pattern(p, PATTERN_321)
 
 
 def test_reverse_identity_counts_all_triples():

@@ -4,12 +4,13 @@
 Each line lists the permutation, the unique 321 occurrence that anchors it,
 and the (b, sigma1, sigma2) triple it maps to. A final tally groups the
 permutations by b and compares against the product count
-(C_b - C_{b-1}) (C_{n-b+1} - C_{n-b}).
+(C_b - C_{b-1}) (C_{n-b+1} - C_{n-b}); it exits 1 if any b differs.
 
     python scripts/bijection_walkthrough.py --n 5
 """
 
 import argparse
+import sys
 from collections import Counter
 
 from permpat import (
@@ -34,11 +35,16 @@ def main():
         print(f"{str(p):<{2 * args.n}}  cba={occ.values}  {format_decomposition(d)}")
 
     print()
+    failures = 0
     for b in range(2, args.n):
         m = args.n - b + 1
         product = (catalan(b) - catalan(b - 1)) * (catalan(m) - catalan(m - 1))
-        print(f"b={b}: {by_b[b]} permutations, product count {product}")
+        ok = by_b[b] == product
+        failures += not ok
+        print(f"b={b}: {by_b[b]} permutations, product count {product}"
+              f"{'' if ok else '   <-- MISMATCH'}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

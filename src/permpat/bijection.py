@@ -19,18 +19,18 @@ then a plain tuple, checked on its own to hold exactly 1..n with a
 middle-position 321 sum of exactly 1. The CLI prints those tuples and, at
 the end of the stream, checks that their number is the closed-form count.
 
-The count of those items (CLI `noonan --method bijection`) can split: b
-block sizes are known in closed form, so b = 2..n-1 is cut into ranges of
-about equal size, counted by the same checked generators in forked
-children (split.forked_sum). The stream itself never splits.
+The count of those items (CLI `noonan --method bijection`) can split:
+b = 2..n-1 is cut into ranges of equally many blocks (split.ranges),
+counted by the same checked generators in forked children
+(split.forked_sum). Block b holds as many items as block n+1-b, so two
+halves by block number hold as equal shares as whole blocks allow. The
+stream itself never splits.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import accumulate, chain
-from operator import mul
+from itertools import chain
 
 from .errors import (
     ConstraintViolation,
@@ -195,40 +195,16 @@ def _noonan_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_noonan_for_b(b, n, cap) for b in range(2, n))
 
 
-def _b_ranges(n: int, threads: int) -> list[range]:
-    """b = 2..n-1 cut into min(max(threads, 1), n-2) contiguous, non-empty ranges.
-
-    Block b holds (C_b - C_{b-1})(C_{n-b+1} - C_{n-b}) items. Range i ends
-    at the first block where the running total reaches (i+1)/k of all items,
-    moved only as far as it takes to leave every range one block at least.
-
-    >>> _b_ranges(11, 2)
-    [range(2, 7), range(7, 11)]
-    """
-    from .catalan import _differences
-
-    k = min(max(threads, 1), n - 2)
-    if k < 1:
-        return []
-    d = _differences(n)
-    running = list(accumulate(map(mul, d, reversed(d))))
-    total, ends = running[-1], [2]
-    for i in range(1, k):
-        # The first index whose running total is at least total * i / k.
-        j = bisect_left(running, -(-total * i // k))
-        ends.append(min(max(j + 3, ends[-1] + 1), n - k + i))
-    ends.append(n)
-    return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
-
-
 def _count_noonan(n: int, cap: int, threads: int) -> int:
-    """The number of tuples _noonan_tuples(n, cap) yields, split by _b_ranges."""
+    """The number of tuples _noonan_tuples(n, cap) yields, split over b ranges."""
     from .avoiders import _check_cap
-    from .split import forked_sum
+    from .split import forked_sum, ranges
 
     _check_cap(n, cap, "enumeration")
     return forked_sum(
-        lambda bs: sum(1 for b in bs for _ in _noonan_for_b(b, n, cap)), _b_ranges(n, threads), "b"
+        lambda bs: sum(1 for b in bs for _ in _noonan_for_b(b, n, cap)),
+        ranges(range(2, n), threads),
+        "b",
     )
 
 

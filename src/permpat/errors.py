@@ -41,7 +41,13 @@ class NonIntegerResult(DomainError):
 
 
 class CapExceeded(DomainError):
-    """Requested size is above the configured generation or oracle cap."""
+    """A request is past one of the configured limits on size or work.
+
+    They are the generation cap of the enumerations and the bijection
+    count, the n cap of the exhaustive oracle counts, the state budget of
+    the 321 state count, the cap of the Catalan table, the `verify` cap on
+    --max-n, and the `count` cap on the work of a generic pattern count.
+    """
 
 
 class InvalidRange(DomainError):

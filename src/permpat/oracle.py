@@ -14,7 +14,8 @@ pattern, both exhaustive:
 
 This module deliberately knows nothing about the optimized counters, the
 avoider generators, or the bijection, so that a bug elsewhere cannot
-confirm itself here; split.forked_sum only sums the counts it is given.
+confirm itself here; split only cuts the first values into ranges and sums
+the counts it is given.
 """
 
 from __future__ import annotations
@@ -155,17 +156,17 @@ def brute_count_exactly_k(
 
     Full enumeration of all n! permutations with the naive counter; exact at
     any k and for any pattern. This is the reference for count_321_exactly_k.
-    split.forked_sum counts the first values 1..n in max(1, min(threads, n))
-    contiguous ranges of equal size (give or take one), in this process or in
-    one forked child each, so the result does not depend on threads.
+    The first values 1..n are cut by split.ranges into min(max(threads, 1), n)
+    contiguous ranges of equal length (give or take one), which
+    split.forked_sum counts in this process or in one forked child each, so
+    the result does not depend on threads.
     """
-    from .split import forked_sum
+    from .split import forked_sum, ranges
 
     _check(n, cap, k)
     if n == 0:
         return 1 if count_occurrences((), pattern.values) == k else 0
-    parts = max(1, min(threads, n))
-    firsts = [range(1 + n * i // parts, 1 + n * (i + 1) // parts) for i in range(parts)]
+    firsts = ranges(range(1, n + 1), threads)
     return forked_sum(lambda r: _count_block(r, n, pattern.values, k), firsts, "first value")
 
 

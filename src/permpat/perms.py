@@ -101,7 +101,7 @@ class Permutation(_Values):
         n = len(values)
         seen = [False] * (n + 1)
         for v in values:
-            if not isinstance(v, int) or v < 1 or v > n or seen[v]:
+            if type(v) is not int or v < 1 or v > n or seen[v]:
                 raise NotAPermutation(f"{list(values)} is not a permutation of 1..{n}")
             seen[v] = True
         object.__setattr__(self, "values", values)
@@ -124,7 +124,7 @@ class ValueSequence(_Values):
         values = tuple(values)
         seen = set()
         for v in values:
-            if not isinstance(v, int) or v < 1 or v in seen:
+            if type(v) is not int or v < 1 or v in seen:
                 raise NotAPermutation(
                     f"{list(values)} is not a sequence of distinct positive integers"
                 )

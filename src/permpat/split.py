@@ -1,6 +1,8 @@
 """One way to split a count across processes: a forked child per range.
 
-The bijection count splits its b ranges with it, the naive oracle its first
+ranges() cuts the items into parts of equal length, give or take one, and
+forked_sum() counts two or more parts in a forked child each. The
+bijection count splits its b blocks with them, the naive oracle its first
 values; a child inherits the count, so nothing is pickled.
 """
 
@@ -11,6 +13,18 @@ import select
 from collections.abc import Callable
 
 from .errors import InternalConstraintViolation
+
+
+def ranges(items: range, threads: int) -> list[range]:
+    """items cut into min(max(threads, 1), len(items)) contiguous parts.
+
+    Part lengths differ by one at most; an empty range gives no part.
+
+    >>> ranges(range(2, 11), 2)
+    [range(2, 6), range(6, 11)]
+    """
+    k = min(max(threads, 1), len(items))
+    return [items[len(items) * i // k : len(items) * (i + 1) // k] for i in range(k)]
 
 
 def forked_sum(count: Callable[[range], int], parts: list[range], what: str) -> int:

@@ -10,7 +10,6 @@ from permpat import bijection
 from permpat.avoiders import enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import (
     Decomposition,
-    _b_ranges,
     _check_one_321,
     _count_noonan,
     compose,
@@ -265,16 +264,6 @@ def test_enumerate_noonan_threads_do_not_change_the_stream():
     assert merged == sequential
     assert [hash(p) for p in merged] == [hash(p) for p in sequential]
     assert all(type(p) is Permutation for p in merged)
-
-
-def test_b_ranges_cover_every_block_once_in_contiguous_non_empty_ranges():
-    for n in range(0, 30):
-        for threads in range(-1, 33):
-            ranges = _b_ranges(n, threads)
-            assert len(ranges) == min(max(threads, 1), max(n - 2, 0))
-            assert all(len(r) > 0 and r.step == 1 for r in ranges)
-            # Concatenated in order they are 2..n-1, so they are contiguous.
-            assert [b for r in ranges for b in r] == list(range(2, n))
 
 
 @pytest.mark.parametrize("threads", [0, 1, 2, 3, 16])

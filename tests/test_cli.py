@@ -439,11 +439,11 @@ def test_bijection_count_is_the_same_at_threads_1_and_2_without_pool_modules(inv
 
 
 def _fail_in(monkeypatch, first=None, second=None):
-    """Make bijection._noonan_for_b call `first` for b < 7 and `second` for b >= 7."""
+    """Make bijection._noonan_for_b call `first` for b < 6 and `second` for b >= 6."""
     real = bijection._noonan_for_b
 
     def patched(b, n, cap):
-        act = first if b < 7 else second
+        act = first if b < 6 else second
         if act is not None:
             act(b)
         return real(b, n, cap)
@@ -471,16 +471,16 @@ def _raise_internal(b):
 @pytest.mark.parametrize(
     "first, second, diagnostic",
     [
-        (None, _raise, "b = 7..10 in child process "),
-        (None, _kill_self, "b = 7..10 in child process "),
-        (_raise_internal, _sleep, "b = 2..6 in child process "),
-        (_sleep, _raise, "b = 7..10 in child process "),
+        (None, _raise, "b = 6..10 in child process "),
+        (None, _kill_self, "b = 6..10 in child process "),
+        (_raise_internal, _sleep, "b = 2..5 in child process "),
+        (_sleep, _raise, "b = 6..10 in child process "),
     ],
     ids=["child-raises", "child-killed", "first-raises-second-running", "second-raises-first-running"],
 )
 def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, first, second, diagnostic):
-    # At n = 11 and two threads one child counts b = 2..6 and another
-    # b = 7..10; this process counts nothing. A sleeping child left unkilled
+    # At n = 11 and two threads one child counts b = 2..5 and another
+    # b = 6..10; this process counts nothing. A sleeping child left unkilled
     # would hold the reap past the alarm.
     _fail_in(monkeypatch, first, second)
     with _fails_after(10, "the failing split count"):
@@ -489,7 +489,7 @@ def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, f
     assert err.startswith(f"InternalConstraintViolation: the count of {diagnostic}")
     assert err.count("\n") == 1
     if second is _raise:
-        assert err.endswith(" failed: ValueError: no block 7\n")
+        assert err.endswith(" failed: ValueError: no block 6\n")
     if second is _kill_self:
         assert err.endswith(f" failed: it died by signal {int(signal.SIGKILL)}\n")
     if first is _raise_internal:
@@ -642,6 +642,6 @@ def test_table_parse_leaves_everything_else_to_argparse(argv):
     assert _parse(list(argv)) is None
 
 
-def test_oracle_cap_override_is_allowed_below_the_default(invoke):
+def test_oracle_n_5_with_cap_11_prints_27(invoke):
     code, out, err = invoke("oracle", "--n", "5", "--cap", "11")
     assert (code, out, err) == (0, "27\n", "")

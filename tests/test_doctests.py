@@ -6,7 +6,14 @@ import pytest
 
 @pytest.mark.parametrize(
     "name",
-    ["permpat.perms", "permpat.catalan", "permpat.avoiders", "permpat.bijection", "permpat.oracle"],
+    [
+        "permpat.perms",
+        "permpat.catalan",
+        "permpat.avoiders",
+        "permpat.bijection",
+        "permpat.oracle",
+        "permpat.split",
+    ],
 )
 def test_module_doctests(name):
     # resolved via import_module because the package re-exports a function

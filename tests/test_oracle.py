@@ -243,7 +243,7 @@ def test_oracle_is_independent_of_the_optimized_paths():
         (0, "itertools"): None,
         (1, "errors"): None,
         (1, "perms"): {"PATTERN_321", "Permutation", "count_occurrences"},
-        (1, "split"): {"forked_sum"},
+        (1, "split"): {"forked_sum", "ranges"},
     }
     imported = set()
     tree = ast.parse(inspect.getsource(permpat.oracle))

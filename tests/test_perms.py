@@ -48,7 +48,10 @@ def test_from_one_line_accepts_permutations():
     assert from_one_line([1]).n == 1
 
 
-@pytest.mark.parametrize("raw", [[1, 1, 2], [2, 4, 3], [0, 1], [-1], [2], [1, 3]])
+# True equals 1 but would print as "True": a bool is not a value
+@pytest.mark.parametrize(
+    "raw", [[1, 1, 2], [2, 4, 3], [0, 1], [-1], [2], [1, 3], [True], [True, 2], [2, True]]
+)
 def test_from_one_line_rejects_non_permutations(raw):
     with pytest.raises(NotAPermutation):
         from_one_line(raw)
@@ -73,6 +76,8 @@ def test_value_sequence_rejects_duplicates_and_nonpositive():
         ValueSequence((5, 3, 5))
     with pytest.raises(NotAPermutation):
         ValueSequence((0, 1))
+    with pytest.raises(NotAPermutation):
+        ValueSequence((3, True))
 
 
 def test_occurrence_triple_is_checked():

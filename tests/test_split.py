@@ -8,7 +8,20 @@ import time
 import pytest
 
 from permpat.errors import InternalConstraintViolation
-from permpat.split import forked_sum
+from permpat.split import forked_sum, ranges
+
+
+def test_ranges_cut_the_items_into_contiguous_parts_of_equal_length():
+    for start in (0, 1, 2):
+        for length in range(31):
+            items = range(start, start + length)
+            for threads in range(-1, 33):
+                parts = ranges(items, threads)
+                assert len(parts) == min(max(threads, 1), length)
+                assert all(len(part) > 0 and part.step == 1 for part in parts)
+                # Concatenated in order they are the items, so they are contiguous.
+                assert [v for part in parts for v in part] == list(items)
+                assert max(map(len, parts), default=0) - min(map(len, parts), default=0) <= 1
 
 
 def _no_fork():

@@ -97,50 +97,13 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY, *_HOME})
 
 
-__all__ = [
-    "CapExceeded",
-    "ConstraintViolation",
-    "DEFAULT_CAP",
-    "DEFAULT_ORACLE_CAP",
-    "Decomposition",
-    "DomainError",
-    "InternalConstraintViolation",
-    "InvalidRange",
-    "MultipleOccurrences",
-    "NoOccurrence",
-    "NonIntegerResult",
-    "NotAPermutation",
-    "NoUnique321",
-    "Occurrence321",
-    "PATTERN_321",
-    "Permutation",
-    "ValueSequence",
-    "binomial",
-    "brute_count_exactly_k",
-    "brute_noonan_set",
-    "catalan",
-    "catalan_table",
-    "compose",
-    "count_321",
-    "count_321_exactly_k",
-    "count_occurrences",
-    "count_pattern",
-    "decompose",
-    "distribution_321",
-    "enumerate_avoiders",
-    "enumerate_noonan",
-    "enumerate_sigma1",
-    "enumerate_sigma2",
-    "find_unique_321",
-    "format_decomposition",
-    "from_one_line",
-    "is_avoiding_321",
-    "noonan_catalan_form",
-    "noonan_closed",
-    "noonan_convolution",
-    "parse_decomposition",
-    "parse_one_line",
-    "parse_value_sequence",
-    "standardize",
-    "validate_decomposition",
-]
+# Each public name is listed once, above: the eager ones are the globals the
+# imports bound from a submodule, the lazy ones are the names of _LAZY.
+__all__ = sorted(
+    [
+        name
+        for name, value in globals().items()
+        if getattr(value, "__module__", "").startswith(f"{__name__}.")
+    ]
+    + list(_HOME)
+)

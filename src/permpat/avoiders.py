@@ -22,8 +22,10 @@ unused values they are the same for every prefix in that state (Ruskey,
 *Combinatorial Generation*; Knuth, TAOCP 4A §7.2.1.6). So generation walks
 the prefixes that leave at most _TAIL values unused, depth first, and reads
 each prefix's completions off a table of rank patterns per state, built on
-first use. Every generated tuple is checked to hold exactly the values of
-its family before it is wrapped or printed.
+first use. Every tuple of the three streams is checked to hold exactly
+the values of its family before it is wrapped or printed. The one-321
+enumeration reads the unchecked walks, _avoiders and _right_factors, and
+checks each item it builds from them instead.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import CapExceeded, InternalConstraintViolation, InvalidRange
-# is_avoiding_321 lives in perms, so that decompose and compose need not load
-# this module; it is still importable from here.
-from .perms import DEFAULT_CAP, Permutation, ValueSequence, is_avoiding_321
+from .perms import DEFAULT_CAP, Permutation, ValueSequence
 
 # The last _TAIL positions of every avoider are read off the completion table.
 _TAIL = 7
@@ -132,8 +132,13 @@ def _sigma2_tuples(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
     if not 2 <= b <= n - 1:
         raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
     _check_cap(n - b + 1, cap, "right-factor generation")
+    return _checked(_right_factors(b, n), b, n)
+
+
+def _right_factors(b: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The right factors over b..n, unchecked, lexicographically."""
     # Only the first values b+1..n are walked: no factor starts with b.
-    return _checked(chain.from_iterable(_avoiders(b, n, f) for f in range(b + 1, n + 1)), b, n)
+    return chain.from_iterable(_avoiders(b, n, f) for f in range(b + 1, n + 1))
 
 
 def enumerate_avoiders(n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Permutation]:

@@ -13,11 +13,18 @@ of {1..b} not ending with b, sigma2 over {b..n} not starting with b. The
 map is a bijection onto all such pairs with 2 <= b <= n-1, which is what
 compose() inverts and enumerate_noonan() exploits.
 
-The enumeration runs in one process, b by b. It validates each factor
-once and splits it once, into (p1, p2, a) and (c, p3, p4); every item is
+The enumeration runs in one process, b by b. It splits each factor once,
+into (p1, p2, a) and (c, p3, p4), and checks no factor; every item is
 then a plain tuple, checked on its own to hold exactly 1..n with a
-middle-position 321 sum of exactly 1. The CLI prints those tuples and, at
-the end of the stream, checks that their number is the closed-form count.
+middle-position 321 sum of exactly 1. That check covers the factors too.
+The item's values p1 c p2 a stand in sigma1's order, since c takes b's
+place and is above all of sigma1; its values c p3 a p4 stand in sigma2's
+order, since a takes b's place and is below all of sigma2. Neither set
+holds the item's b, so a 321 in a factor is a second 321 of the item. A
+sigma1 ending with b or a sigma2 starting with b repeats b in the item, a
+value out of range leaves 1..n, and a factor without b cannot be split.
+The CLI prints the tuples and, at the end of the stream, checks that
+their number is the closed-form count.
 
 The count of those items (CLI `noonan --method bijection`) can split:
 b = 2..n-1 is cut into ranges of equally many blocks (split.ranges),
@@ -77,32 +84,18 @@ class Decomposition(_Frozen):
 
 def validate_decomposition(d: Decomposition) -> None:
     """Raise ConstraintViolation unless every Decomposition invariant holds."""
-    if not 2 <= d.b <= d.n - 1:
-        raise ConstraintViolation(f"need 2 <= b <= n-1, got b={d.b}, n={d.n}")
-    _validate_sigma1(d.b, d.sigma1.values)
-    _validate_sigma2(d.b, d.n, d.sigma2.values)
-
-
-def _validate_sigma1(b: int, s1: tuple[int, ...]) -> None:
-    # s1 and s2 below hold distinct values: a factor's values, or a
-    # generated tuple already checked to hold exactly its family's values.
-    if len(s1) != b:
-        raise ConstraintViolation(f"sigma1 must be a permutation of 1..{b}, got length {len(s1)}")
+    b, n, s1, s2 = d.b, d.n, d.sigma1.values, d.sigma2.values
+    if not 2 <= b <= n - 1:
+        raise ConstraintViolation(f"need 2 <= b <= n-1, got b={b}, n={n}")
+    for name, s, lo, hi in (("sigma1", s1, 1, b), ("sigma2", s2, b, n)):
+        if sorted(s) != list(range(lo, hi + 1)):
+            raise ConstraintViolation(f"{name} must hold exactly {lo}..{hi}, got {_text(s)}")
+        if not is_avoiding_321(s):
+            raise ConstraintViolation(f"{name} {_text(s)} contains a 321 occurrence")
     if s1[-1] == b:
         raise ConstraintViolation(f"sigma1 must not end with b={b}")
-    if not is_avoiding_321(s1):
-        raise ConstraintViolation(f"sigma1 {_text(s1)} contains a 321 occurrence")
-
-
-def _validate_sigma2(b: int, n: int, s2: tuple[int, ...]) -> None:
-    if frozenset(s2) != frozenset(range(b, n + 1)):
-        raise ConstraintViolation(
-            f"sigma2 support must be exactly {{{b}..{n}}}, got {sorted(s2)}"
-        )
     if s2[0] == b:
         raise ConstraintViolation(f"sigma2 must not start with b={b}")
-    if not is_avoiding_321(s2):
-        raise ConstraintViolation(f"sigma2 {_text(s2)} contains a 321 occurrence")
 
 
 def _text(values: tuple[int, ...]) -> str:
@@ -162,24 +155,23 @@ def _check_one_321(t: tuple[int, ...], values: list[int]) -> None:
         raise InternalConstraintViolation(f"generated {_text(t)} is not a one-321 permutation")
 
 
-def _noonan_for_b(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    from .avoiders import _sigma1_tuples, _sigma2_tuples
+def _noonan_for_b(b: int, n: int) -> Iterator[tuple[int, ...]]:
+    from .avoiders import _avoiders, _right_factors
 
-    # Each factor is validated once and split once. sigma2 = c p3 b p4 is
-    # kept as three columns, which take less memory than a tuple per factor;
-    # the few distinct p3 pieces are stored once each.
+    # The factors are split unchecked: the check of each item covers them
+    # (see the module docstring). sigma2 = c p3 b p4 is kept as three
+    # columns, which take less memory than a tuple per factor; the few
+    # distinct p3 pieces are stored once each.
     cs, p3s, p4s, shared = [], [], [], {}
-    for s2 in _sigma2_tuples(b, n, cap):
-        _validate_sigma2(b, n, s2)
-        q = s2.index(b)
+    for s2 in _right_factors(b, n):
+        q = _index(s2, b)
         cs.append(s2[0])
         p3s.append(shared.setdefault(s2[1:q], s2[1:q]))
         p4s.append(s2[q + 1 :])
     values = list(range(1, n + 1))
-    for s1 in _sigma1_tuples(b, cap):
-        _validate_sigma1(b, s1)
+    for s1 in _avoiders(1, b, max_last=False):
         # sigma1 = p1 b p2 a
-        p = s1.index(b)
+        p = _index(s1, b)
         p1, p2, a = s1[:p], s1[p + 1 : -1], s1[-1]
         for c, p3, p4 in zip(cs, p3s, p4s):
             t = (*p1, c, *p2, b, *p3, a, *p4)
@@ -187,12 +179,20 @@ def _noonan_for_b(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield t
 
 
+def _index(factor: tuple[int, ...], b: int) -> int:
+    """The position of b in a generated factor; InternalConstraintViolation if absent."""
+    try:
+        return factor.index(b)
+    except ValueError:
+        raise InternalConstraintViolation(f"generated {_text(factor)} lacks b={b}") from None
+
+
 def _noonan_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     """The checked tuples of enumerate_noonan, in ascending b; the cap is checked first."""
     from .avoiders import _check_cap
 
     _check_cap(n, cap, "enumeration")
-    return chain.from_iterable(_noonan_for_b(b, n, cap) for b in range(2, n))
+    return chain.from_iterable(_noonan_for_b(b, n) for b in range(2, n))
 
 
 def _count_noonan(n: int, cap: int, threads: int) -> int:
@@ -202,7 +202,7 @@ def _count_noonan(n: int, cap: int, threads: int) -> int:
 
     _check_cap(n, cap, "enumeration")
     return forked_sum(
-        lambda bs: sum(1 for b in bs for _ in _noonan_for_b(b, n, cap)),
+        lambda bs: sum(1 for b in bs for _ in _noonan_for_b(b, n)),
         ranges(range(2, n), threads),
         "b",
     )

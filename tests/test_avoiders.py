@@ -17,11 +17,10 @@ from permpat.avoiders import (
     enumerate_avoiders,
     enumerate_sigma1,
     enumerate_sigma2,
-    is_avoiding_321,
 )
 from permpat.catalan import catalan
 from permpat.errors import CapExceeded, InternalConstraintViolation, InvalidRange
-from permpat.perms import Permutation, ValueSequence, count_occurrences
+from permpat.perms import Permutation, ValueSequence, count_occurrences, is_avoiding_321
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -1,17 +1,19 @@
 import copy
 import os
 import pickle
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpat import bijection
+from permpat import avoiders, bijection
 from permpat.avoiders import enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import (
     Decomposition,
     _check_one_321,
     _count_noonan,
+    _noonan_tuples,
     compose,
     decompose,
     enumerate_noonan,
@@ -20,6 +22,7 @@ from permpat.bijection import (
     validate_decomposition,
 )
 from permpat.catalan import catalan, noonan_closed
+from permpat.cli import run
 from permpat.errors import (
     CapExceeded,
     ConstraintViolation,
@@ -141,6 +144,9 @@ def test_compose_examples():
         decomp(1, (1,), (2, 1), 2),  # b below 2
         decomp(3, (1, 3, 2), (4, 3), 3),  # b above n-1
         decomp(3, (2, 1), (4, 3), 4),  # sigma1 has the wrong length
+        # sigma1 is not over 1..b; as a ValueSequence it can hold any values
+        Decomposition(2, ValueSequence((3, 1)), ValueSequence((3, 2, 4)), 4),
+        Decomposition(3, ValueSequence((1, 4, 2)), ValueSequence((4, 3)), 4),
     ],
 )
 def test_compose_rejects_invalid_decompositions(d):
@@ -314,6 +320,58 @@ def test_every_noonan_tuple_goes_through_the_check(monkeypatch):
     monkeypatch.setattr(bijection, "_check_one_321", lambda t, values: checked.append((t, values)))
     streamed = [p.values for p in enumerate_noonan(7)]
     assert checked == [(t, [1, 2, 3, 4, 5, 6, 7]) for t in streamed]
+
+
+# Each fault replaces one call of avoiders._avoiders, the walk behind both
+# factors: a left factor walk has no `first`, a right factor walk has one.
+
+
+def _left_ends_with_b(real, lo, hi, first, max_last):
+    return real(lo, hi, first)
+
+
+def _right_with_a_321(real, lo, hi, first, max_last):
+    extra = [tuple(range(hi, lo - 1, -1))] if first == hi and hi - lo >= 2 else []
+    return chain(real(lo, hi, first, max_last=max_last), extra)
+
+
+def _right_starts_with_b(real, lo, hi, first, max_last):
+    extra = [tuple(range(lo, hi + 1))] if first == lo + 1 else []
+    return chain(real(lo, hi, first, max_last=max_last), extra)
+
+
+def _left_without_b(real, lo, hi, first, max_last):
+    items = real(lo, hi, first, max_last=max_last)
+    return items if first is not None else (tuple(v for v in t if v != hi) for t in items)
+
+
+def _right_out_of_range(real, lo, hi, first, max_last):
+    items = real(lo, hi, first, max_last=max_last)
+    return items if first is None else ((hi + 1, *t[1:]) for t in items)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_left_ends_with_b, _right_with_a_321, _right_starts_with_b, _left_without_b, _right_out_of_range],
+)
+def test_every_factor_fault_fails_the_item_check(monkeypatch, capsys, fault):
+    # The factors are not checked on their own; each fault must still
+    # surface as InternalConstraintViolation, in the stream, the count and
+    # the CLI.
+    real = avoiders._avoiders
+    monkeypatch.setattr(
+        avoiders,
+        "_avoiders",
+        lambda lo, hi, first=None, *, max_last=True: fault(real, lo, hi, first, max_last),
+    )
+    with pytest.raises(InternalConstraintViolation):
+        list(_noonan_tuples(7, 14))
+    with pytest.raises(InternalConstraintViolation):
+        _count_noonan(7, 14, 1)
+    assert run(["enumerate", "--family", "noonan", "--n", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InternalConstraintViolation: generated ")
+    assert err.count("\n") == 1
 
 
 def test_noonan_tuple_check_accepts_every_one_321_permutation():

@@ -442,11 +442,11 @@ def _fail_in(monkeypatch, first=None, second=None):
     """Make bijection._noonan_for_b call `first` for b < 6 and `second` for b >= 6."""
     real = bijection._noonan_for_b
 
-    def patched(b, n, cap):
+    def patched(b, n):
         act = first if b < 6 else second
         if act is not None:
             act(b)
-        return real(b, n, cap)
+        return real(b, n)
 
     # The patch is a module global, so forked children inherit it.
     monkeypatch.setattr(bijection, "_noonan_for_b", patched)

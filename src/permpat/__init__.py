@@ -56,6 +56,7 @@ _LAZY = {
     "oracle": (
         "DEFAULT_ORACLE_CAP",
         "brute_count_exactly_k",
+        "brute_distribution",
         "brute_noonan_set",
         "count_321_exactly_k",
         "distribution_321",

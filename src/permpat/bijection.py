@@ -39,18 +39,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain
 
-from .errors import (
-    ConstraintViolation,
-    InternalConstraintViolation,
-    NotAPermutation,
-)
+from .errors import ConstraintViolation, InternalConstraintViolation
 from .perms import (
     DEFAULT_CAP,
     Permutation,
     ValueSequence,
     _Frozen,
     _sorted_and_321,
-    count_321,
     find_unique_321,
     is_avoiding_321,
     parse_one_line,
@@ -106,9 +101,10 @@ def decompose(perm: Permutation) -> Decomposition:
     """Split a one-321 permutation into its (b, sigma1, sigma2) triple.
 
     Raises NoOccurrence / MultipleOccurrences (both NoUnique321) when the
-    permutation does not contain 321 exactly once. The outputs are verified
-    against every Decomposition invariant before being returned; a failure
-    there would be a bug, surfaced as InternalConstraintViolation.
+    permutation does not contain 321 exactly once. The factors are wrapped
+    unvalidated and then checked once, against every Decomposition
+    invariant, before being returned; a failure there would be a bug,
+    surfaced as InternalConstraintViolation.
 
     >>> str(decompose(parse_one_line("3 2 1 4")))
     'b=2 | sigma1=2 1 | sigma2=3 2 4'
@@ -117,12 +113,12 @@ def decompose(perm: Permutation) -> Decomposition:
     i, j, k = occ.positions
     c, b, a = occ.values
     v = perm.values
+    sigma1 = Permutation._trusted(v[: i - 1] + (b,) + v[i : j - 1] + (a,))
+    sigma2 = ValueSequence._trusted((c,) + v[j : k - 1] + (b,) + v[k:])
+    d = Decomposition(b=b, sigma1=sigma1, sigma2=sigma2, n=perm.n)
     try:
-        sigma1 = Permutation(v[: i - 1] + (b,) + v[i : j - 1] + (a,))
-        sigma2 = ValueSequence((c,) + v[j : k - 1] + (b,) + v[k:])
-        d = Decomposition(b=b, sigma1=sigma1, sigma2=sigma2, n=perm.n)
         validate_decomposition(d)
-    except (NotAPermutation, ConstraintViolation) as exc:
+    except ConstraintViolation as exc:
         raise InternalConstraintViolation(
             f"decomposition of {perm} violated an invariant: {exc}"
         ) from exc
@@ -137,16 +133,16 @@ def compose(d: Decomposition) -> Permutation:
     rest of sigma2 into p3 and p4. The result is p1 c p2 b p3 a p4.
 
     The input is fully validated (ConstraintViolation on any failure) and
-    the output is defensively checked to contain 321 exactly once.
+    the output is defensively checked, in one pass, to arrange 1..n with 321
+    exactly once (InternalConstraintViolation otherwise).
     """
     validate_decomposition(d)
     b, s1, s2 = d.b, d.sigma1.values, d.sigma2.values
     p = s1.index(b)
     q = s2.index(b)
-    perm = Permutation(s1[:p] + s2[:1] + s1[p + 1 : -1] + (b,) + s2[1:q] + s1[-1:] + s2[q + 1 :])
-    if count_321(perm) != 1:
-        raise InternalConstraintViolation(f"composition of {d} does not contain 321 exactly once")
-    return perm
+    t = s1[:p] + s2[:1] + s1[p + 1 : -1] + (b,) + s2[1:q] + s1[-1:] + s2[q + 1 :]
+    _check_one_321(t, list(range(1, d.n + 1)))
+    return Permutation._trusted(t)
 
 
 def _check_one_321(t: tuple[int, ...], values: list[int]) -> None:

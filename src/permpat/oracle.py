@@ -1,32 +1,35 @@
 """Ground truth by exhaustive counting, independent of the fast paths.
 
-Two exact counters of the n-permutations with exactly k occurrences of a
-pattern, both exhaustive:
+Two exact counters of the n-permutations by their number of occurrences of
+a pattern, both exhaustive. Each returns the whole row [a_0, ..., a_m], a_k
+the permutations with exactly k occurrences, up to a bound m; each
+exactly-k count reads entry k of its row.
 
 - distribution_321, which the CLI uses through count_321_exactly_k, counts
-  for the pattern 321 over prefix states, every k up to a bound at once.
-  It builds every permutation position by position, but counts together
-  the prefixes whose futures are the same, and drops a prefix once no
-  completion of it can have at most that many occurrences.
-- brute_count_exactly_k is the reference that checks it, for any pattern:
-  it enumerates all n! permutations and counts occurrences with the naive
-  generic counter.
+  for the pattern 321 over prefix states. It builds every permutation
+  position by position, but counts together the prefixes whose futures
+  are the same, and drops a prefix once no completion of it can have at
+  most m occurrences.
+- brute_distribution is the reference that checks it, for any pattern: it
+  enumerates all n! permutations once and counts occurrences with the
+  naive generic counter. brute_count_exactly_k reads its entry k.
 
 This module deliberately knows nothing about the optimized counters, the
 avoider generators, or the bijection, so that a bug elsewhere cannot
 confirm itself here; split only cuts the first values into ranges and sums
-the counts it is given.
+the packed rows it is given.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterator
 
 from .errors import CapExceeded, InvalidRange
 from .perms import PATTERN_321, Permutation, count_occurrences
 
-# The n cap of the two n! scans, brute_count_exactly_k and brute_noonan_set.
+# The n cap of the two n! scans, brute_distribution and brute_noonan_set.
 DEFAULT_ORACLE_CAP = 10
 # Without an explicit cap, distribution_321 refuses a layer once its live
 # states times the values still unused in each pass this budget: that is
@@ -64,7 +67,7 @@ def distribution_321(
 
     m = min(upto, C(n, 3)), as no n-permutation has more occurrences. An
     exhaustive count over prefix states, one layer per position, checked
-    against brute_count_exactly_k. Appending x to a prefix adds one
+    against brute_distribution. Appending x to a prefix adds one
     occurrence for each 21-pair of the prefix whose lower value is above x,
     and each prefix value above x becomes the top of a new 21-pair. So what
     a prefix can still become depends only on its running count and, for
@@ -140,13 +143,50 @@ def count_321_exactly_k(
     return ways[k] if k < len(ways) else 0
 
 
-def _count_block(firsts: range, n: int, pattern: tuple[int, ...], k: int) -> int:
-    """Exactly-k count over the permutations whose first value is in `firsts`."""
-    return sum(
-        count_occurrences((first,) + tail, pattern) == k
-        for first in firsts
-        for tail in itertools.permutations([v for v in range(1, n + 1) if v != first])
-    )
+def brute_distribution(
+    n: int, pattern: Permutation, upto: int, *, cap: int = DEFAULT_ORACLE_CAP, threads: int = 1
+) -> list[int]:
+    """[a_0, ..., a_m]: a_k n-permutations have exactly k occurrences of `pattern`.
+
+    m = min(upto, C(n, len(pattern))). Full enumeration of all n!
+    permutations with the naive counter, any pattern, every k from one
+    scan; this is the reference for distribution_321. A permutation with
+    more than upto occurrences adds nothing. The first values 1..n are cut
+    by split.ranges into min(max(threads, 1), n) contiguous ranges of equal
+    length (give or take one), which split.forked_sum counts in this
+    process or in one forked child each, so the result does not depend on
+    threads.
+
+    Each range returns its row packed into one integer, w bits per k with
+    n! < 2 ** w, so the packed row has at most (m + 1) * w bits. A child
+    sends it in decimal, which Python refuses past 4,300 digits (about
+    14,280 bits). At the default cap (n <= 10) the widest row, C(10, 5) + 1
+    = 253 entries of 22 bits, has under 1,700 digits; a row first passes
+    the limit at n = 12 with upto >= 492, a 12! scan, where a split count
+    raises InternalConstraintViolation and never returns a wrong row.
+
+    >>> brute_distribution(5, PATTERN_321, 3)
+    [42, 27, 24, 7]
+    """
+    from .split import forked_sum, ranges
+
+    _check(n, cap, upto)
+    top = min(upto, math.comb(n, len(pattern)))
+    if n == 0:
+        return [int(k == count_occurrences((), pattern.values)) for k in range(top + 1)]
+    w = math.factorial(n).bit_length()  # n! < 2 ** w
+
+    def block(firsts: range) -> int:
+        # the row over the permutations whose first value is in `firsts`
+        packed = 0
+        for first in firsts:
+            for tail in itertools.permutations([v for v in range(1, n + 1) if v != first]):
+                if (k := count_occurrences((first,) + tail, pattern.values)) <= top:
+                    packed += 1 << k * w
+        return packed
+
+    packed = forked_sum(block, ranges(range(1, n + 1), threads), "first value")
+    return [packed >> k * w & (1 << w) - 1 for k in range(top + 1)]
 
 
 def brute_count_exactly_k(
@@ -154,20 +194,15 @@ def brute_count_exactly_k(
 ) -> int:
     """Number of n-permutations with exactly k occurrences of `pattern`.
 
-    Full enumeration of all n! permutations with the naive counter; exact at
-    any k and for any pattern. This is the reference for count_321_exactly_k.
-    The first values 1..n are cut by split.ranges into min(max(threads, 1), n)
-    contiguous ranges of equal length (give or take one), which
-    split.forked_sum counts in this process or in one forked child each, so
-    the result does not depend on threads.
-    """
-    from .split import forked_sum, ranges
+    The k-th entry of brute_distribution(n, pattern, k), or 0 above
+    C(n, len(pattern)); exact at any k and for any pattern. This is the
+    reference for count_321_exactly_k.
 
-    _check(n, cap, k)
-    if n == 0:
-        return 1 if count_occurrences((), pattern.values) == k else 0
-    firsts = ranges(range(1, n + 1), threads)
-    return forked_sum(lambda r: _count_block(r, n, pattern.values, k), firsts, "first value")
+    >>> brute_count_exactly_k(5, PATTERN_321, 1)
+    27
+    """
+    # the row ends at min(k, C(n, len(pattern))): from k on it holds a_k or nothing
+    return sum(brute_distribution(n, pattern, k, cap=cap, threads=threads)[k:])
 
 
 def brute_noonan_set(n: int, *, cap: int = DEFAULT_ORACLE_CAP) -> Iterator[Permutation]:

@@ -19,12 +19,7 @@ from permpat.catalan import (
     noonan_convolution,
 )
 from permpat.cli import run
-from permpat.oracle import (
-    brute_count_exactly_k,
-    brute_noonan_set,
-    count_321_exactly_k,
-    distribution_321,
-)
+from permpat.oracle import brute_noonan_set, count_321_exactly_k, distribution_321
 from permpat.perms import PATTERN_321, Permutation, count_321, count_pattern
 
 
@@ -33,12 +28,13 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def test_criterion_1_theorem_end_to_end():
+def test_criterion_1_theorem_end_to_end(naive_row):
+    # the k = 1 entry of each naive row, split over two forked children
     expected = {3: 1, 4: 6, 5: 27, 6: 110, 7: 429, 8: 1638, 9: 6188}
     start = time.perf_counter()
     mismatches = []
     for n, want in expected.items():
-        got = brute_count_exactly_k(n, PATTERN_321, 1, threads=2)
+        got = naive_row(n)[1]
         closed = noonan_closed(n)
         if not (got == closed == want):
             mismatches.append((n, got, closed, want))

@@ -154,6 +154,20 @@ def test_compose_rejects_invalid_decompositions(d):
         compose(d)
 
 
+def test_decompose_and_compose_check_what_they_build_once(monkeypatch):
+    # the factors and the composed permutation are wrapped unvalidated:
+    # validate_decomposition and the one-321 check are their only checks
+    p, d = perm("2 4 3 1 5"), decomp(3, (2, 3, 1), (4, 3, 5), 5)
+
+    def refuse(self, values):
+        raise AssertionError(f"{values} validated a second time")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    monkeypatch.setattr(ValueSequence, "__init__", refuse)
+    assert decompose(p) == d and compose(d) == p
+    assert type(compose(d)) is Permutation and type(decompose(p).sigma2) is ValueSequence
+
+
 def test_internal_violation_is_a_constraint_violation():
     assert issubclass(InternalConstraintViolation, ConstraintViolation)
 
@@ -273,17 +287,7 @@ def test_enumerate_noonan_threads_do_not_change_the_stream():
 
 
 @pytest.mark.parametrize("threads", [0, 1, 2, 3, 16])
-def test_split_count_is_the_closed_form_at_every_thread_count(monkeypatch, threads):
-    forked = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+def test_split_count_is_the_closed_form_at_every_thread_count(forked, threads):
     for n in range(1, 12):
         forked.clear()
         assert _count_noonan(n, 14, threads) == noonan_closed(n)

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import math
 import os
@@ -57,30 +56,13 @@ def test_count_matches_the_naive_counter(invoke, pattern):
         assert out == f"{count_occurrences(vals, values)}\n"
 
 
-@contextlib.contextmanager
-def _fails_after(seconds, what):
-    # SIGALRM turns a hang into a test failure instead of a stuck run.
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    except TimeoutError:
-        pytest.fail(f"{what} ran past {seconds} s", pytrace=False)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_count_321_is_fast_at_n_3000(invoke):
+def test_count_321_is_fast_at_n_3000(fails_after, invoke):
     vals = list(range(1, 3001))
     random.Random(3).shuffle(vals)
     text = " ".join(map(str, vals))
 
     # The generic counter would run for hours here; the alarm makes it fail.
-    with _fails_after(10, "count at n = 3000"):
+    with fails_after(10, "count at n = 3000"):
         start = time.perf_counter()
         code, out, _ = invoke("count", "--perm", text)
         elapsed = time.perf_counter() - start
@@ -88,20 +70,20 @@ def test_count_321_is_fast_at_n_3000(invoke):
     assert elapsed < 1.0, f"count at n = 3000 took {elapsed:.2f} s"
 
 
-def test_the_longest_perm_arguments_are_answered(invoke):
+def test_the_longest_perm_arguments_are_answered(fails_after, invoke):
     # One execve argument holds at most 128 KiB, about n = 23,700 values;
     # decreasing is the worst order for the sorted-prefix insertions.
     n = 23000
-    with _fails_after(10, f"count of the decreasing permutation at n = {n}"):
+    with fails_after(10, f"count of the decreasing permutation at n = {n}"):
         code, out, err = invoke("count", "--perm", " ".join(map(str, range(n, 0, -1))))
     assert (code, out, err) == (0, f"{math.comb(n, 3)}\n", "")
     tail = " ".join(map(str, range(4, n + 1)))
-    with _fails_after(10, f"decompose at n = {n}"):
+    with fails_after(10, f"decompose at n = {n}"):
         code, out, err = invoke("decompose", "--perm", f"3 2 1 {tail}")
     assert (code, out, err) == (0, f"b=2 | sigma1=2 1 | sigma2=3 2 {tail}\n", "")
 
 
-def test_count_caps_the_generic_counter(invoke):
+def test_count_caps_the_generic_counter(fails_after, invoke):
     # binom(1000, 4) steps would take the generic counter days; the cap
     # refuses before it starts, and the alarm makes a missing cap fail.
     rng = random.Random(2413)
@@ -111,7 +93,7 @@ def test_count_caps_the_generic_counter(invoke):
         rng.shuffle(vals)
         return " ".join(map(str, vals))
 
-    with _fails_after(10, "count of 2 4 1 3 at n = 1000"):
+    with fails_after(10, "count of 2 4 1 3 at n = 1000"):
         code, out, err = invoke("count", "--perm", perm(1000), "--pattern", "2 4 1 3")
     assert (code, out) == (1, "")
     assert err.startswith("CapExceeded: a pattern of length 4 in a permutation of length 1000")
@@ -185,11 +167,11 @@ def test_commands_load_only_the_modules_they_need(argv, loaded):
     assert result.stderr == f"{loaded}\n"
 
 
-def test_table_routes_fail_fast_past_their_caps(invoke):
+def test_table_routes_fail_fast_past_their_caps(fails_after, invoke):
     # Without the caps each would run for about a minute; the alarm turns a
     # missing cap into a failure instead of a stuck run.
     for argv in (("seq", "--what", "catalan", "--max-n", "10000"), ("verify", "--max-n", "5000")):
-        with _fails_after(2, " ".join(argv)):
+        with fails_after(2, " ".join(argv)):
             code, out, err = invoke(*argv)
         assert (code, out) == (1, "")
         assert err.startswith("CapExceeded: ")
@@ -478,12 +460,12 @@ def _raise_internal(b):
     ],
     ids=["child-raises", "child-killed", "first-raises-second-running", "second-raises-first-running"],
 )
-def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, first, second, diagnostic):
+def test_split_count_failures_exit_1_and_leave_no_process(fails_after, invoke, monkeypatch, first, second, diagnostic):
     # At n = 11 and two threads one child counts b = 2..5 and another
     # b = 6..10; this process counts nothing. A sleeping child left unkilled
     # would hold the reap past the alarm.
     _fail_in(monkeypatch, first, second)
-    with _fails_after(10, "the failing split count"):
+    with fails_after(10, "the failing split count"):
         code, out, err = invoke("noonan", "--n", "11", "--method", "bijection", "--threads", "2")
     assert (code, out) == (1, "")
     assert err.startswith(f"InternalConstraintViolation: the count of {diagnostic}")
@@ -498,21 +480,21 @@ def test_split_count_failures_exit_1_and_leave_no_process(invoke, monkeypatch, f
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_oracle_refuses_a_layer_past_its_budget_fast(invoke):
+def test_oracle_refuses_a_layer_past_its_budget_fast(fails_after, invoke):
     # Without the budget each would run for minutes or run out of memory;
     # the alarm turns a missing budget into a failure instead of a stuck run.
     for n, k, layer in (("1000", "1", 1), ("12", "30", 5), ("1000000", "1", 0)):
-        with _fails_after(10, f"oracle --n {n} --k {k}"):
+        with fails_after(10, f"oracle --n {n} --k {k}"):
             code, out, err = invoke("oracle", "--n", n, "--k", k)
         assert (code, out) == (1, "")
         assert err.startswith("CapExceeded: ") and f" at layer {layer} of {n};" in err, err
 
 
-def test_oracle_answers_a_huge_k_and_n_12_without_a_cap(invoke):
+def test_oracle_answers_a_huge_k_and_n_12_without_a_cap(fails_after, invoke):
     # k above C(n, 3) needs no row of length k; n = 12 at k = 1 is cheap
-    with _fails_after(10, "oracle --n 5 --k 1000000000"):
+    with fails_after(10, "oracle --n 5 --k 1000000000"):
         assert invoke("oracle", "--n", "5", "--k", "1000000000") == (0, "0\n", "")
-    with _fails_after(10, "oracle --n 12"):
+    with fails_after(10, "oracle --n 12"):
         assert invoke("oracle", "--n", "12") == invoke("noonan", "--n", "12")
 
 

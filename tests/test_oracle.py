@@ -13,6 +13,7 @@ from permpat.catalan import catalan, noonan_closed
 from permpat.errors import CapExceeded, InternalConstraintViolation, InvalidRange
 from permpat.oracle import (
     brute_count_exactly_k,
+    brute_distribution,
     brute_noonan_set,
     count_321_exactly_k,
     distribution_321,
@@ -32,33 +33,16 @@ def test_exactly_k_examples():
     assert brute_count_exactly_k(5, PATTERN_321, 1) == 27
 
 
-def test_k_zero_recovers_catalan():
-    for n in range(8):
-        assert brute_count_exactly_k(n, PATTERN_321, 0) == catalan(n)
+def test_k_zero_recovers_catalan(naive_row):
+    for n in range(10):
+        assert naive_row(n)[0] == catalan(n)
     for n in range(15):
         assert count_321_exactly_k(n, 0, cap=n) == catalan(n)
 
 
-def test_k_zero_recovers_catalan_at_full_oracle_scale():
-    # the slow end of the same invariant: 8! and 9! full passes, each split
-    # over two forked children
-    for n in (8, 9):
-        assert brute_count_exactly_k(n, PATTERN_321, 0, threads=2) == catalan(n)
-
-
-@cache
-def _naive_tally(n):
-    # {k: n-permutations with exactly k 321s}, every k from one naive n! scan
-    tally = {}
-    for v in itertools.permutations(range(1, n + 1)):
-        k = count_occurrences(v, PATTERN_321.values)
-        tally[k] = tally.get(k, 0) + 1
-    return tally
-
-
-def test_counts_over_all_k_sum_to_factorial():
-    for n in range(9):
-        assert sum(_naive_tally(n).values()) == math.factorial(n)
+def test_counts_over_all_k_sum_to_factorial(naive_row):
+    for n in range(10):
+        assert sum(naive_row(n)) == math.factorial(n)
 
 
 def _exactly_two(n):
@@ -71,16 +55,16 @@ def _exactly_two(n):
     return two
 
 
-def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula():
-    for n in range(9):
-        tally = _naive_tally(n)
+def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula(naive_row):
+    for n in range(10):
+        row = naive_row(n)
         # each triple of positions is a 321 with probability 1/6
-        assert 6 * sum(k * a for k, a in tally.items()) == math.factorial(n) * math.comb(n, 3)
+        assert 6 * sum(k * a for k, a in enumerate(row)) == math.factorial(n) * math.comb(n, 3)
         if n >= 3:
             # only the decreasing permutation has every triple a 321
-            assert tally[math.comb(n, 3)] == 1
+            assert row[-1] == 1
         if n >= 4:
-            assert tally[2] == _exactly_two(n), n
+            assert row[2] == _exactly_two(n), n
 
 
 def test_other_patterns_are_supported():
@@ -121,11 +105,11 @@ def test_noonan_set_examples():
     ]
 
 
-def test_noonan_set_is_lexicographic():
+def test_noonan_set_is_lexicographic(naive_row):
     for n in range(3, 7):
         items = [p.values for p in brute_noonan_set(n)]
         assert items == sorted(items)
-        assert len(items) == brute_count_exactly_k(n, PATTERN_321, 1)
+        assert len(items) == naive_row(n)[1]
 
 
 def test_caps_and_ranges():
@@ -146,34 +130,38 @@ def test_caps_and_ranges():
         brute_noonan_set(11)
 
 
-def _counted_forks(monkeypatch):
-    forked = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forked
-
-
-def test_threads_do_not_change_the_count(monkeypatch):
-    want = {k: sum(count_321_exactly_k(n, k) for n in range(8)) for k in (0, 1, 2)}
-    forked = _counted_forks(monkeypatch)
+def test_threads_do_not_change_the_count(forked, naive_row):
+    want = [naive_row(n)[:3] for n in range(8)]
     for threads in (-1, 0, 1, 2, 3, 16):
-        for k in (0, 1, 2):
-            forked.clear()
-            got = sum(brute_count_exactly_k(n, PATTERN_321, k, threads=threads) for n in range(8))
-            assert got == want[k], (threads, k)
-            # max(1, min(threads, n)) ranges of first values for n = 1..7: one
-            # is counted in this process, two or more in a child each.
-            parts = [max(1, min(threads, n)) for n in range(1, 8)]
-            assert len(forked) == sum(p for p in parts if p > 1), threads
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
+        forked.clear()
+        got = [brute_distribution(n, PATTERN_321, 2, threads=threads) for n in range(8)]
+        assert got == want, threads
+        # max(1, min(threads, n)) ranges of first values for n = 1..7: one
+        # is counted in this process, two or more in a child each.
+        parts = [max(1, min(threads, n)) for n in range(1, 8)]
+        assert len(forked) == sum(p for p in parts if p > 1), threads
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# the naive counter, memoized across the parameters and inherited by forks
+_memo_count = cache(count_occurrences)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_an_exactly_k_count_is_one_entry_of_the_naive_row(monkeypatch, threads):
+    # Memoized counts: this checks how a row is read and split, not the
+    # counter. A split forks on every call, so past one process it checks
+    # one k inside the row, when there is one, and one past it.
+    monkeypatch.setattr(permpat.oracle, "count_occurrences", _memo_count)
+    for n, m in itertools.product(range(7), range(4)):
+        top = math.comb(n, m)
+        for p in map(Permutation, itertools.permutations(range(1, m + 1))):
+            for k in range(top + 2) if threads == 1 else {1, top + 1}:
+                row = brute_distribution(n, p, k, threads=threads)
+                assert len(row) == min(k, top) + 1
+                want = row[k] if k <= top else 0
+                assert brute_count_exactly_k(n, p, k, threads=threads) == want, (n, p, k)
 
 
 def test_a_failing_child_names_its_first_values_and_leaves_no_process(monkeypatch):
@@ -201,35 +189,32 @@ def test_progress_callback_runs_once_per_position():
     assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
 
 
-def test_state_count_equals_a_naive_tally_for_every_k():
-    for n in range(9):
-        tally = _naive_tally(n)
+def test_state_count_equals_a_naive_tally_for_every_k(naive_row):
+    for n in range(10):
         row = distribution_321(n, math.comb(n, 3))
-        assert row == [tally.get(k, 0) for k in range(math.comb(n, 3) + 1)], n
+        assert row == naive_row(n), n
         # past C(n, 3) the row stops, and the count is 0
         assert distribution_321(n, math.comb(n, 3) + 5) == row
         assert count_321_exactly_k(n, math.comb(n, 3) + 1) == 0
-    assert brute_count_exactly_k(7, PATTERN_321, 1) == _naive_tally(7)[1]
 
 
-def test_state_count_rows_at_n_9_and_10():
-    # past the naive tally's reach, the whole row against what is known of it
-    for n in (9, 10):
-        top = math.comb(n, 3)
-        row = distribution_321(n, top)
-        assert len(row) == top + 1
-        assert sum(row) == math.factorial(n)
-        assert 6 * sum(k * a for k, a in enumerate(row)) == math.factorial(n) * top
-        assert row[:3] == [catalan(n), noonan_closed(n), _exactly_two(n)]
-        assert row[top] == 1
+def test_state_count_row_at_n_10():
+    # past the naive rows' reach, the whole row against what is known of it
+    n, top = 10, math.comb(10, 3)
+    row = distribution_321(n, top)
+    assert len(row) == top + 1
+    assert sum(row) == math.factorial(n)
+    assert 6 * sum(k * a for k, a in enumerate(row)) == math.factorial(n) * top
+    assert row[:3] == [catalan(n), noonan_closed(n), _exactly_two(n)]
+    assert row[top] == 1
 
 
-def test_an_explicit_cap_lifts_the_state_budget(monkeypatch):
+def test_an_explicit_cap_lifts_the_state_budget(monkeypatch, naive_row):
     # the CLI tests check the refusals at the real budget
     monkeypatch.setattr(permpat.oracle, "STATE_BUDGET", 100)
     with pytest.raises(CapExceeded, match="budget of 100 live states times unused values"):
         distribution_321(8, 3)
-    assert distribution_321(8, 3, cap=8) == [_naive_tally(8)[k] for k in range(4)]
+    assert distribution_321(8, 3, cap=8) == naive_row(8)[:4]
 
 
 def test_oracle_is_independent_of_the_optimized_paths():
@@ -241,6 +226,7 @@ def test_oracle_is_independent_of_the_optimized_paths():
         (0, "__future__"): None,
         (0, "collections.abc"): None,
         (0, "itertools"): None,
+        (0, "math"): None,
         (1, "errors"): None,
         (1, "perms"): {"PATTERN_321", "Permutation", "count_occurrences"},
         (1, "split"): {"forked_sum", "ranges"},

@@ -1,4 +1,3 @@
-import contextlib
 import os
 import signal
 import subprocess
@@ -71,23 +70,6 @@ def test_a_fork_that_raises_closes_its_pipe_and_reaps_the_children_before_it(mon
         os.waitpid(-1, os.WNOHANG)
 
 
-@contextlib.contextmanager
-def _fails_after(seconds, what):
-    # SIGALRM turns a wait on a running child into a test failure.
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    except TimeoutError:
-        pytest.fail(f"{what} ran past {seconds} s", pytrace=False)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _len_or_sleep(r):
     # The part that starts at 0 is counted at once; any other sleeps until killed.
     if r.start:
@@ -107,11 +89,11 @@ def _kill_self(code):
     ],
     ids=["killed", "exit-3"],
 )
-def test_a_whole_count_from_a_child_that_then_fails_is_refused(monkeypatch, leave, reason):
+def test_a_whole_count_from_a_child_that_then_fails_is_refused(fails_after, monkeypatch, leave, reason):
     # The first child writes its whole count, then leaves by the patched
     # os._exit; the second is still asleep, so it cannot be reported first.
     monkeypatch.setattr(os, "_exit", leave)
-    with pytest.raises(InternalConstraintViolation) as info, _fails_after(10, "the failing count"):
+    with pytest.raises(InternalConstraintViolation) as info, fails_after(10, "the failing count"):
         forked_sum(_len_or_sleep, [range(0, 5), range(5, 7)], "v")
     message = str(info.value)
     assert message.startswith("the count of v = 0..4 in child process ")
@@ -120,7 +102,7 @@ def test_a_whole_count_from_a_child_that_then_fails_is_refused(monkeypatch, leav
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_child_error_or_an_empty_pipe_is_refused(monkeypatch):
+def test_a_child_error_or_an_empty_pipe_is_refused(fails_after, monkeypatch):
     def count(r):
         if r.start:
             raise KeyError(r.start)
@@ -131,20 +113,20 @@ def test_a_child_error_or_an_empty_pipe_is_refused(monkeypatch):
     # A child that exits 0 without writing anything, while the other sleeps
     monkeypatch.setattr(os, "write", lambda fd, data: len(data))
     with pytest.raises(InternalConstraintViolation, match=r"v = 0\.\.1 in child .* failed: it sent no count$"):
-        with _fails_after(10, "the count with an empty pipe"):
+        with fails_after(10, "the count with an empty pipe"):
             forked_sum(_len_or_sleep, [range(0, 2), range(2, 4)], "v")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_failing_child_is_reported_while_an_earlier_one_still_runs():
+def test_a_failing_child_is_reported_while_an_earlier_one_still_runs(fails_after):
     def count(r):
         if r.start == 0:
             time.sleep(60)
         raise KeyError(r.start)
 
     with pytest.raises(InternalConstraintViolation, match=r"v = 3\.\.4 in child .* failed: KeyError: 3$"):
-        with _fails_after(10, "the count with a sleeping first part"):
+        with fails_after(10, "the count with a sleeping first part"):
             forked_sum(count, [range(0, 3), range(3, 5)], "v")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -52,6 +52,11 @@ def _check(n: int, cap: int | None, k: int = 0) -> None:
         raise InvalidRange(f"need k >= 0, got {k}")
 
 
+def _unpack(packed: int, w: int, top: int) -> list[int]:
+    # the counts a_0..a_top, a_k at bit k * w of `packed`
+    return [packed >> k * w & (1 << w) - 1 for k in range(top + 1)]
+
+
 def _over_budget(n: int, upto: int, done: int) -> CapExceeded:
     return CapExceeded(
         f"the 321 state count at n = {n} up to k = {upto} passed its budget of "
@@ -100,7 +105,7 @@ def distribution_321(
         # the first layer is one state of n unused values
         raise _over_budget(n, upto, 0)
     top = min(upto, n * (n - 1) * (n - 2) // 6)
-    w = 1 + sum(v.bit_length() for v in range(2, n + 1))  # n! < 2 ** w
+    w = math.factorial(n).bit_length()  # n! < 2 ** w
     # (g, f) of each unused value, increasing -> its prefixes by count, packed
     layer = {((0, 0),) * n: 1}
     for done in range(1, n + 1):
@@ -126,7 +131,7 @@ def distribution_321(
         if progress is not None:
             progress(done, n)
     # the one state left has no unused value
-    return [layer[()] >> c * w & (1 << w) - 1 for c in range(top + 1)]
+    return _unpack(layer[()], w, top)
 
 
 def count_321_exactly_k(
@@ -139,8 +144,8 @@ def count_321_exactly_k(
     >>> count_321_exactly_k(5, 1)
     27
     """
-    ways = distribution_321(n, k, cap=cap, progress=progress)
-    return ways[k] if k < len(ways) else 0
+    row = distribution_321(n, k, cap=cap, progress=progress)
+    return row[k] if k < len(row) else 0
 
 
 def brute_distribution(
@@ -185,8 +190,7 @@ def brute_distribution(
                     packed += 1 << k * w
         return packed
 
-    packed = forked_sum(block, ranges(range(1, n + 1), threads), "first value")
-    return [packed >> k * w & (1 << w) - 1 for k in range(top + 1)]
+    return _unpack(forked_sum(block, ranges(range(1, n + 1), threads), "first value"), w, top)
 
 
 def brute_count_exactly_k(
@@ -201,8 +205,8 @@ def brute_count_exactly_k(
     >>> brute_count_exactly_k(5, PATTERN_321, 1)
     27
     """
-    # the row ends at min(k, C(n, len(pattern))): from k on it holds a_k or nothing
-    return sum(brute_distribution(n, pattern, k, cap=cap, threads=threads)[k:])
+    row = brute_distribution(n, pattern, k, cap=cap, threads=threads)
+    return row[k] if k < len(row) else 0
 
 
 def brute_noonan_set(n: int, *, cap: int = DEFAULT_ORACLE_CAP) -> Iterator[Permutation]:

@@ -6,7 +6,7 @@ from functools import cache
 
 import pytest
 
-from permpat.oracle import brute_distribution
+from permpat.oracle import brute_distribution, brute_noonan_set
 from permpat.perms import PATTERN_321
 
 
@@ -19,6 +19,16 @@ def naive_row():
     occurrences reads it here.
     """
     return cache(lambda n: brute_distribution(n, PATTERN_321, math.comb(n, 3), threads=2))
+
+
+@pytest.fixture(scope="session")
+def naive_noonan_set():
+    """naive_noonan_set(n): brute_noonan_set(n) as a tuple, one naive n! scan per n for the session.
+
+    Each test that walks the naive one-321 permutations reads them here;
+    the tests of brute_noonan_set itself call it.
+    """
+    return cache(lambda n: tuple(brute_noonan_set(n)))
 
 
 @pytest.fixture

@@ -112,19 +112,6 @@ def test_avoiders_of_length_0():
     assert one_line(enumerate_avoiders(0)) == [""]
 
 
-def test_avoider_counts_match_catalan():
-    for n in range(10):
-        assert sum(1 for _ in enumerate_avoiders(n)) == catalan(n)
-
-
-def test_avoiders_are_sorted_unique_and_avoiding():
-    for n in range(8):
-        items = [p.values for p in enumerate_avoiders(n)]
-        assert items == sorted(items)
-        assert len(items) == len(set(items))
-        assert all(is_avoiding_321(vals) for vals in items)
-
-
 def test_generation_equals_filtering_all_permutations():
     # the incremental pruning must match the naive counter exactly
     for n in range(8):

@@ -16,7 +16,6 @@ from permpat.bijection import Decomposition, compose
 from permpat.catalan import noonan_catalan_form, noonan_closed, noonan_convolution
 from permpat.cli import _parse, _verify_rows, build_parser, run
 from permpat.errors import InternalConstraintViolation
-from permpat.oracle import brute_noonan_set
 from permpat.perms import count_occurrences
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -245,9 +244,9 @@ def test_compose(invoke):
     assert (code, out, err) == (0, "3 2 4 1\n", "")
 
 
-def test_compose_inverts_decompose_byte_for_byte(invoke):
+def test_compose_inverts_decompose_byte_for_byte(invoke, naive_noonan_set):
     for n in range(3, 8):
-        for p in brute_noonan_set(n):
+        for p in naive_noonan_set(n):
             _, line, _ = invoke("decompose", "--perm", str(p))
             d = dict(
                 field.split("=", 1) for field in line.strip().split(" | ")
@@ -259,15 +258,14 @@ def test_compose_inverts_decompose_byte_for_byte(invoke):
             assert out == str(p) + "\n"
 
 
-def test_enumerate_noonan_matches_oracle(invoke):
+def test_enumerate_noonan_matches_oracle(invoke, naive_noonan_set):
     for n in range(3, 8):
         _, out, _ = invoke("enumerate", "--family", "noonan", "--n", str(n))
-        expected = sorted(str(p) for p in brute_noonan_set(n))
+        expected = sorted(str(p) for p in naive_noonan_set(n))
         assert sorted(out.splitlines()) == expected
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_noonan_stream_equals_the_checked_public_path(invoke, threads):
+def test_noonan_stream_equals_the_checked_public_path(invoke):
     for n in range(3, 11):
         expected = "".join(
             f"{compose(Decomposition(b, s1, s2, n))}\n"
@@ -275,8 +273,7 @@ def test_noonan_stream_equals_the_checked_public_path(invoke, threads):
             for s1 in enumerate_sigma1(b)
             for s2 in enumerate_sigma2(b, n)
         )
-        argv = ("enumerate", "--family", "noonan", "--n", str(n), "--threads", threads)
-        assert invoke(*argv) == (0, expected, "")
+        assert invoke("enumerate", "--family", "noonan", "--n", str(n)) == (0, expected, "")
 
 
 def test_avoider_stream_lines_are_the_library_strings(invoke):
@@ -347,77 +344,49 @@ def test_seq(invoke):
 # --- determinism under --threads ----------------------------------------
 
 
-def test_threads_leave_output_identical(invoke):
-    cases = [
-        ("enumerate", "--family", "avoiders", "--n", "6"),
-        ("enumerate", "--family", "noonan", "--n", "6"),
-        ("oracle", "--n", "6"),
-        ("noonan", "--n", "6", "--method", "oracle"),
-        ("noonan", "--n", "6", "--method", "bijection"),
-    ]
-    for argv in cases:
-        base = invoke(*argv)
-        threaded = invoke(*argv, "--threads", "3")
-        assert threaded == base
+_NAIVE_ROW_AT_THREADS_2 = (
+    "from permpat.oracle import brute_distribution\n"
+    "from permpat.perms import PATTERN_321\n"
+    "print(brute_distribution(7, PATTERN_321, 1, threads=2))\n"
+    "status = 0\n"
+)
 
 
-def test_avoider_families_ignore_threads_and_start_no_pool(invoke):
-    # --threads is accepted by every family, by the oracle and by the
-    # bijection count, and none of them starts a process pool; -S keeps site
-    # from importing multiprocessing itself.
-    code = (
-        "import sys\n"
-        "from permpat.cli import run\n"
-        "status = run(sys.argv[1:])\n"
-        "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
-        "sys.exit(status)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    families = [
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("enumerate", "--family", "avoiders", "--n", "7"),
         ("enumerate", "--family", "sigma1", "--b", "7"),
         ("enumerate", "--family", "sigma2", "--b", "2", "--n", "8"),
+        ("enumerate", "--family", "noonan", "--n", "7"),
         ("oracle", "--n", "7"),
         ("noonan", "--n", "7", "--method", "oracle"),
-        ("enumerate", "--family", "noonan", "--n", "7"),
-    ]
-    for argv in families:
-        base = invoke(*argv, "--threads", "1")
-        assert base[0] == 0 and base[1]
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code, *argv, "--threads", "2"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert result.stdout == base[1], argv
-        assert result.stderr == "False\n", argv
-
-
-def test_bijection_count_is_the_same_at_threads_1_and_2_without_pool_modules(invoke):
-    # The count forks its children itself; -S keeps site from importing
-    # multiprocessing or threading on its own.
+        ("noonan", "--n", "9", "--method", "bijection"),
+        None,  # the naive oracle row, brute_distribution(7, PATTERN_321, 1, threads=2)
+    ],
+    ids=["avoiders", "sigma1", "sigma2", "noonan", "oracle", "oracle-count", "bijection-count", "naive-row"],
+)
+def test_threads_2_loads_no_pool_module(invoke, argv):
+    # Each call is a fresh process at --threads 2. The bijection count and
+    # the naive row fork their children themselves, with a pipe for each
+    # result; every other command runs in one process. None may load
+    # multiprocessing or threading; -S keeps site and any .pth file from
+    # importing them on their own.
+    if argv is None:
+        call, want = _NAIVE_ROW_AT_THREADS_2, "[429, 429]\n"  # C_7 avoiders, 429 with one 321
+    else:
+        call, want = "from permpat.cli import run\nstatus = run(sys.argv[1:])\n", invoke(*argv)[1]
+        argv = (*argv, "--threads", "2")
     code = (
-        "import sys\n"
-        "from permpat.cli import run\n"
-        "status = run(sys.argv[1:])\n"
+        f"import sys\n{call}"
         "print([m for m in ('multiprocessing', 'threading') if m in sys.modules], file=sys.stderr)\n"
         "sys.exit(status)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    argv = ("noonan", "--n", "9", "--method", "bijection")
-    base = invoke(*argv, "--threads", "1")
-    assert base == (0, f"{noonan_closed(9)}\n", "")
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code, *argv, "--threads", "2"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+        [sys.executable, "-S", "-c", code, *(argv or ())], env=env, capture_output=True, text=True
     )
-    assert result.stdout == base[1]
-    assert result.stderr == "[]\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, want, "[]\n")
 
 
 def _fail_in(monkeypatch, first=None, second=None):
@@ -536,10 +505,14 @@ def test_domain_errors_exit_1_with_named_diagnostic(invoke):
 
 
 def test_usage_errors_exit_2(invoke):
+    # help and usage errors come from argparse
+    code, out, _ = invoke("--help")
+    assert code == 0 and out.startswith("usage: permpat")
     assert invoke()[0] == 2
     assert invoke("nonsense")[0] == 2
     assert invoke("noonan")[0] == 2  # --n missing
-    assert invoke("noonan", "--n", "4", "--method", "magic")[0] == 2
+    code, _, err = invoke("noonan", "--n", "4", "--method", "magic")
+    assert code == 2 and "invalid choice" in err
     assert invoke("noonan", "--n", "four")[0] == 2
     assert invoke("enumerate", "--family", "sigma1")[0] == 2  # --b missing
     assert invoke("enumerate", "--family", "avoiders")[0] == 2  # --n missing

@@ -8,16 +8,18 @@ agree exactly:
 - Catalan form: C_{n+2} - 4 C_{n+1} + 3 C_n
 - convolution:  sum over b = 2..n-1 of (C_b - C_{b-1}) (C_{n-b+1} - C_{n-b})
 
-The Catalan form and the convolution read C_0..C_N from a table built
-from the Catalan (ballot) triangle, independently of the closed form: row
-m holds the ballot numbers T(m, k) = T(m, k-1) + T(m-1, k) for k = 0..m,
-so each row is the running sum of the one before it with a 0 appended,
-and C_m = T(m, m) is its last entry. That costs about N^2/2 big-integer
-additions and no products. The table stops at C_TABLE_CAP: its cost still
-grows about as N^3 in bit operations. The convolution's sum is symmetric
-in b <-> n+1-b, so it is taken over half the range: twice the sum over the
-first half of the products, plus the middle square when the number of
-terms is odd.
+The Catalan form and the convolution read a table built from the Catalan
+(ballot) triangle, independently of the closed form: row m holds the
+ballot numbers T(m, k) = T(m, k-1) + T(m-1, k) for k = 0..m, so each row
+is the running sum of the one before it with a 0 appended, and C_m = T(m, m)
+is its last entry. As each C_m is appended, its difference C_m - C_{m-1}
+is appended to a second row kept beside the table, so the convolution
+reads its factors off that row and subtracts nothing per call. Building
+to N costs about N^2/2 big-integer additions and no products. The table
+stops at C_TABLE_CAP: its cost still grows about as N^3 in bit
+operations. The convolution's sum is symmetric in b <-> n+1-b, so it is
+taken over half the range: twice the sum over the first half of the
+products, plus the middle square when the number of terms is odd.
 
 Everything is plain Python integer arithmetic, hence exact at any size.
 """
@@ -76,11 +78,14 @@ def _self_convolution(a: list[int]) -> int:
     return total
 
 
-# C_0..C_N from the ballot triangle, and the triangle's last row (row N,
-# ending in C_N). The table only ever grows, so readers may index into it
-# without the lock once _extend has guaranteed the length; the row is read
-# and replaced only under the lock.
+# C_0..C_N from the ballot triangle, their differences C_m - C_{m-1} (with
+# C_{-1} = 0), and the triangle's last row (row N, ending in C_N). The table
+# and the differences only ever grow, each difference before its table
+# entry, so readers may index into both without the lock once _extend has
+# guaranteed the table's length; the row is read and replaced only under
+# the lock.
 _table: list[int] = [1]
+_diff: list[int] = [1]
 _row: list[int] = [1]
 # allocate_lock is what threading.Lock returns, without loading threading.
 _table_lock = allocate_lock()
@@ -98,6 +103,7 @@ def _extend(max_n: int) -> list[int]:
         with _table_lock:
             while len(table) <= max_n:
                 _row = list(accumulate(_row + [0]))
+                _diff.append(_row[-1] - table[-1])
                 table.append(_row[-1])
     return table
 
@@ -172,18 +178,12 @@ def noonan_catalan_form(n: int) -> int:
 def noonan_convolution(n: int) -> int:
     """The one-321 count as the convolution of first-difference Catalan terms.
 
-    sum over b = 2..n-1 of (C_b - C_{b-1}) (C_{n-b+1} - C_{n-b}), whose
-    terms b and n+1-b are equal, so it is taken as a half-sum. The sum is
-    empty (hence 0) for n < 3.
+    sum over b = 2..n-1 of (C_b - C_{b-1}) (C_{n-b+1} - C_{n-b}): the
+    self-convolution of entries 2..n-1 of the difference row kept beside
+    the table. Terms b and n+1-b are equal, so it is taken as a half-sum.
+    The sum is empty (hence 0) for n < 3.
     """
     if n < 1:
         raise InvalidRange(f"noonan_convolution requires n >= 1, got {n}")
-    if n < 3:
-        return 0
-    return _self_convolution(_differences(n))
-
-
-def _differences(n: int) -> list[int]:
-    """C_b - C_{b-1} for b = 2..n-1, off the table; the convolution pairs b with n+1-b."""
-    t = _extend(max(n - 1, 0))
-    return list(map(operator.sub, t[2:n], t[1 : n - 1]))
+    _extend(n - 1)
+    return _self_convolution(_diff[2:n])

@@ -14,14 +14,12 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import islice
 from types import SimpleNamespace
 
 from .catalan import (
-    _differences,
     _noonan_closed_stream,
-    _self_convolution,
     binomial,
     catalan,
     catalan_table,
@@ -48,8 +46,11 @@ _TABLE_BATCH = 100
 # every one is an occurrence (the identity against 1 2 3), 3-4 s on random
 # inputs, on a 2-core Xeon VM.
 _COUNT_WORK_CAP = 10**8
-# `verify` refuses larger N: its per-n convolutions take about 4 s at
-# N = 2000 on a 2-core Xeon VM, and their cost grows about as N^3.
+# `verify` refuses larger N: at N = 2000 it takes about 3 s on a 2-core Xeon
+# VM with Python 3.11.7 (2.9-3.3 s, 8 fresh processes), most of it in the
+# per-n convolutions, whose cost grows about as N^3. The refusal message's
+# "about 4 s" is an earlier measurement, left as it is so that the error
+# output stays the same bytes.
 _VERIFY_CAP = 2000
 
 
@@ -146,19 +147,6 @@ def _cmd_noonan(args: SimpleNamespace) -> int:
     return 0
 
 
-def _verify_rows(max_n: int) -> Iterator[tuple[int, int, int, int]]:
-    """(n, convolution, Catalan form, closed form) of the one-321 count, n = 3..max_n.
-
-    The convolution's differences C_b - C_{b-1} are taken from the Catalan
-    table once, not once per n as noonan_convolution does; the closed form
-    comes from the ratio walk of `seq --what noonan`, not from the table.
-    """
-    d = _differences(max_n)
-    closed = islice(_noonan_closed_stream(max_n), 2, None)
-    for n, c in zip(range(3, max_n + 1), closed):
-        yield n, _self_convolution(d[: n - 2]), noonan_catalan_form(n), c
-
-
 def _cmd_verify(args: SimpleNamespace) -> int:
     if args.max_n > _VERIFY_CAP:
         raise CapExceeded(
@@ -169,7 +157,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise InvalidRange(f"verify requires max_n >= 0, got {args.max_n}")
     failures = 0
     lines = []
-    for n, conv, cat, closed in _verify_rows(args.max_n):
+    # The closed form comes from the ratio walk of `seq --what noonan`, not
+    # from the Catalan table the other two read.
+    for n, closed in enumerate(islice(_noonan_closed_stream(args.max_n), 2, None), 3):
+        conv, cat = noonan_convolution(n), noonan_catalan_form(n)
         if conv == cat == closed:
             lines.append(f"n={n} PASS")
         else:

@@ -72,11 +72,12 @@ def test_table_grown_in_steps_equals_the_table_built_at_once(monkeypatch):
 
     def fresh():
         monkeypatch.setattr(module, "_table", [1])
+        monkeypatch.setattr(module, "_diff", [1])
         monkeypatch.setattr(module, "_row", [1])
 
     fresh()
     steps = [catalan_table(n) for n in (0, 10, 500)]
-    stepped_row = module._row
+    stepped_row, stepped_diff = module._row, module._diff
     fresh()
     at_once = catalan_table(500)
     assert steps[-1] == at_once
@@ -84,6 +85,9 @@ def test_table_grown_in_steps_equals_the_table_built_at_once(monkeypatch):
     # The kept row is row 500 of the triangle, ending in C_500, either way.
     assert stepped_row == module._row
     assert len(stepped_row) == 501 and stepped_row[-1] == at_once[-1]
+    # The kept differences are C_m - C_{m-1} for m = 0..500, with C_{-1} = 0.
+    assert stepped_diff == module._diff
+    assert stepped_diff == [catalan(m) - (catalan(m - 1) if m else 0) for m in range(501)]
 
 
 def test_table_routes_refuse_sizes_past_the_cap():

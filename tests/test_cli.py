@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from permpat import avoiders, bijection
+from permpat import avoiders, bijection, cli
 from permpat.avoiders import enumerate_avoiders, enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import Decomposition, compose
-from permpat.catalan import noonan_catalan_form, noonan_closed, noonan_convolution
-from permpat.cli import _parse, _verify_rows, build_parser, run
+from permpat.catalan import noonan_catalan_form, noonan_closed
+from permpat.cli import _parse, build_parser, run
 from permpat.errors import InternalConstraintViolation
 from permpat.perms import count_occurrences
 
@@ -197,10 +197,15 @@ def test_verify(invoke):
     assert err == ""
 
 
-def test_verify_rows_are_the_three_public_formulas():
-    assert list(_verify_rows(2)) == []
-    assert list(_verify_rows(500)) == [
-        (n, noonan_convolution(n), noonan_catalan_form(n), noonan_closed(n)) for n in range(3, 501)
+def test_verify_reports_a_formula_that_disagrees(invoke, monkeypatch):
+    # One formula, as the CLI sees it, is off by one at n = 7 only.
+    monkeypatch.setattr(cli, "noonan_catalan_form", lambda n: noonan_catalan_form(n) + (n == 7))
+    code, out, err = invoke("verify", "--max-n", "9")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "n=3 PASS", "n=4 PASS", "n=5 PASS", "n=6 PASS",
+        "n=7 FAIL convolution=429 catalan_form=430 closed=429",
+        "n=8 PASS", "n=9 PASS", "6/7 PASS",
     ]
 
 

@@ -1,5 +1,6 @@
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +21,9 @@ def test_module_doctests(name):
     # named catalan, shadowing the submodule as an attribute
     results = doctest.testmod(importlib.import_module(name))
     assert results.failed == 0
+
+
+def test_readme_library_example():
+    path = Path(__file__).resolve().parent.parent / "README.md"
+    results = doctest.testfile(str(path), module_relative=False)
+    assert results.attempted > 0 and results.failed == 0

@@ -13,16 +13,20 @@ of {1..b} not ending with b, sigma2 over {b..n} not starting with b. The
 map is a bijection onto all such pairs with 2 <= b <= n-1, which is what
 compose() inverts and enumerate_noonan() exploits.
 
-The enumeration runs in one process, b by b. It splits each factor once,
-into (p1, p2, a) and (c, p3, p4), and checks no factor; every item is
-then a plain tuple, checked on its own to hold exactly 1..n with a
-middle-position 321 sum of exactly 1. That check covers the factors too.
-The item's values p1 c p2 a stand in sigma1's order, since c takes b's
-place and is above all of sigma1; its values c p3 a p4 stand in sigma2's
-order, since a takes b's place and is below all of sigma2. Neither set
-holds the item's b, so a 321 in a factor is a second 321 of the item. A
-sigma1 ending with b or a sigma2 starting with b repeats b in the item, a
-value out of range leaves 1..n, and a factor without b cannot be split.
+decompose() finds (c, b, a) with find_unique_321, whose one sorted-prefix
+pass gives both the 321 count and the position of b. compose() and the
+enumeration run the one splice, _splice(b, n, lefts, rights): compose()
+on its one pair, the enumeration on every pair of block b, b by b, in
+one process. The splice cuts each factor once at b, into (p1, p2, a) and
+(c, p3, p4), and checks no factor; every item is a plain tuple, checked
+on its own by the same pass to hold exactly 1..n with a middle-position
+321 sum of exactly 1. That check covers the factors too. The item's
+values p1 c p2 a stand in sigma1's order, since c takes b's place and is
+above all of sigma1; its values c p3 a p4 stand in sigma2's order, since
+a takes b's place and is below all of sigma2. Neither set holds the
+item's b, so a 321 in a factor is a second 321 of the item. A sigma1
+ending with b or a sigma2 starting with b repeats b in the item, a value
+out of range leaves 1..n, and a factor without b cannot be split.
 The CLI prints the tuples and, at the end of the stream, checks that
 their number is the closed-form count.
 
@@ -36,7 +40,7 @@ stream itself never splits.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from .errors import ConstraintViolation, InternalConstraintViolation
@@ -46,6 +50,7 @@ from .perms import (
     ValueSequence,
     _Frozen,
     _sorted_and_321,
+    _text,
     find_unique_321,
     is_avoiding_321,
     parse_one_line,
@@ -93,10 +98,6 @@ def validate_decomposition(d: Decomposition) -> None:
         raise ConstraintViolation(f"sigma2 must not start with b={b}")
 
 
-def _text(values: tuple[int, ...]) -> str:
-    return " ".join(map(str, values))
-
-
 def decompose(perm: Permutation) -> Decomposition:
     """Split a one-321 permutation into its (b, sigma1, sigma2) triple.
 
@@ -128,44 +129,42 @@ def decompose(perm: Permutation) -> Decomposition:
 def compose(d: Decomposition) -> Permutation:
     """Rebuild the permutation from its triple; inverse of decompose.
 
-    The last value of sigma1 is a, and the value b splits the rest of
-    sigma1 into p1 and p2; the first value of sigma2 is c, and b splits the
-    rest of sigma2 into p3 and p4. The result is p1 c p2 b p3 a p4.
-
-    The input is fully validated (ConstraintViolation on any failure) and
-    the output is defensively checked, in one pass, to arrange 1..n with 321
-    exactly once (InternalConstraintViolation otherwise).
+    The input is fully validated (ConstraintViolation on any failure), and
+    its one pair goes through the enumeration's splice: sigma1 = p1 b p2 a
+    and sigma2 = c p3 b p4 give p1 c p2 b p3 a p4, checked in one pass to
+    arrange 1..n with 321 exactly once (InternalConstraintViolation
+    otherwise).
     """
     validate_decomposition(d)
-    b, s1, s2 = d.b, d.sigma1.values, d.sigma2.values
-    p = s1.index(b)
-    q = s2.index(b)
-    t = s1[:p] + s2[:1] + s1[p + 1 : -1] + (b,) + s2[1:q] + s1[-1:] + s2[q + 1 :]
-    _check_one_321(t, list(range(1, d.n + 1)))
-    return Permutation._trusted(t)
+    return Permutation._trusted(next(_splice(d.b, d.n, [d.sigma1.values], [d.sigma2.values])))
 
 
 def _check_one_321(t: tuple[int, ...], values: list[int]) -> None:
     """Raise InternalConstraintViolation unless t arranges `values` (1..n) with one 321."""
-    if _sorted_and_321(t) != (values, 1):
+    seen, total, _ = _sorted_and_321(t)
+    if total != 1 or seen != values:
         raise InternalConstraintViolation(f"generated {_text(t)} is not a one-321 permutation")
 
 
-def _noonan_for_b(b: int, n: int) -> Iterator[tuple[int, ...]]:
-    from .avoiders import _avoiders, _right_factors
+def _splice(
+    b: int, n: int, lefts: Iterable[tuple[int, ...]], rights: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """p1 c p2 b p3 a p4 for each left factor p1 b p2 a and right factor c p3 b p4.
 
-    # The factors are split unchecked: the check of each item covers them
-    # (see the module docstring). sigma2 = c p3 b p4 is kept as three
-    # columns, which take less memory than a tuple per factor; the few
-    # distinct p3 pieces are stored once each.
+    Lefts in the outer loop, rights in the inner; each item is checked on
+    its own (see the module docstring), no factor is.
+    """
+    # sigma2 = c p3 b p4 is kept as three columns, which take less memory
+    # than a tuple per factor; the few distinct p3 pieces are stored once
+    # each.
     cs, p3s, p4s, shared = [], [], [], {}
-    for s2 in _right_factors(b, n):
+    for s2 in rights:
         q = _index(s2, b)
         cs.append(s2[0])
         p3s.append(shared.setdefault(s2[1:q], s2[1:q]))
         p4s.append(s2[q + 1 :])
     values = list(range(1, n + 1))
-    for s1 in _avoiders(1, b, max_last=False):
+    for s1 in lefts:
         # sigma1 = p1 b p2 a
         p = _index(s1, b)
         p1, p2, a = s1[:p], s1[p + 1 : -1], s1[-1]
@@ -173,6 +172,13 @@ def _noonan_for_b(b: int, n: int) -> Iterator[tuple[int, ...]]:
             t = (*p1, c, *p2, b, *p3, a, *p4)
             _check_one_321(t, values)
             yield t
+
+
+def _noonan_for_b(b: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Block b of the one-321 stream: every left factor over 1..b spliced with every right one."""
+    from .avoiders import _avoiders, _right_factors
+
+    return _splice(b, n, _avoiders(1, b, max_last=False), _right_factors(b, n))
 
 
 def _index(factor: tuple[int, ...], b: int) -> int:
@@ -229,7 +235,6 @@ def format_decomposition(d: Decomposition) -> str:
 def parse_decomposition(text: str) -> Decomposition:
     """Inverse of format_decomposition.
 
-    The length n is recovered from sigma2, whose support must reach n.
     Field syntax is checked here; the semantic invariants are checked by
     compose, so that printing and parsing round-trip on any well-formed line.
     """
@@ -246,7 +251,14 @@ def parse_decomposition(text: str) -> Decomposition:
         b = int(fields["b"])
     except ValueError:
         raise ConstraintViolation(f"b must be an integer, got {fields['b']!r}") from None
-    sigma1 = parse_one_line(fields["sigma1"])
-    sigma2 = parse_value_sequence(fields["sigma2"])
-    n = max(sigma2.values) if sigma2.values else b
-    return Decomposition(b=b, sigma1=sigma1, sigma2=sigma2, n=n)
+    return _triple(b, fields["sigma1"], fields["sigma2"])
+
+
+def _triple(b: int, sigma1_text: str, sigma2_text: str) -> Decomposition:
+    """The triple of b and the factors' parsed text forms; compose checks its invariants.
+
+    The length n is recovered from sigma2, whose support must reach n: its
+    largest value, or b when sigma2 is empty.
+    """
+    sigma1, sigma2 = parse_one_line(sigma1_text), parse_value_sequence(sigma2_text)
+    return Decomposition(b=b, sigma1=sigma1, sigma2=sigma2, n=max(sigma2.values, default=b))

@@ -12,14 +12,14 @@ The Catalan form and the convolution read a table built from the Catalan
 (ballot) triangle, independently of the closed form: row m holds the
 ballot numbers T(m, k) = T(m, k-1) + T(m-1, k) for k = 0..m, so each row
 is the running sum of the one before it with a 0 appended, and C_m = T(m, m)
-is its last entry. As each C_m is appended, its difference C_m - C_{m-1}
-is appended to a second row kept beside the table, so the convolution
-reads its factors off that row and subtracts nothing per call. Building
-to N costs about N^2/2 big-integer additions and no products. The table
-stops at C_TABLE_CAP: its cost still grows about as N^3 in bit
-operations. The convolution's sum is symmetric in b <-> n+1-b, so it is
-taken over half the range: twice the sum over the first half of the
-products, plus the middle square when the number of terms is odd.
+is its last entry. Building the table to N costs about N^2/2
+big-integer additions and no products. The table stops at C_TABLE_CAP:
+its cost still grows about as N^3 in bit operations. The convolution
+keeps the differences C_m - C_{m-1} in a second row beside the table; a
+call subtracts only for the entries it adds to that row, and no other
+reader builds it. The convolution's sum is symmetric in b <-> n+1-b, so
+it is taken over half the range: twice the sum over the first half of
+the products, plus the middle square when the number of terms is odd.
 
 Everything is plain Python integer arithmetic, hence exact at any size.
 """
@@ -78,12 +78,12 @@ def _self_convolution(a: list[int]) -> int:
     return total
 
 
-# C_0..C_N from the ballot triangle, their differences C_m - C_{m-1} (with
-# C_{-1} = 0), and the triangle's last row (row N, ending in C_N). The table
-# and the differences only ever grow, each difference before its table
-# entry, so readers may index into both without the lock once _extend has
-# guaranteed the table's length; the row is read and replaced only under
-# the lock.
+# C_0..C_N from the ballot triangle, the differences C_m - C_{m-1} (with
+# C_{-1} = 0) that noonan_convolution has needed so far, and the triangle's
+# last row (row N, ending in C_N). The table and the differences only ever
+# grow, under the lock, so a reader may index into either without it once
+# its length is guaranteed; the row is read and replaced only under the
+# lock.
 _table: list[int] = [1]
 _diff: list[int] = [1]
 _row: list[int] = [1]
@@ -103,7 +103,6 @@ def _extend(max_n: int) -> list[int]:
         with _table_lock:
             while len(table) <= max_n:
                 _row = list(accumulate(_row + [0]))
-                _diff.append(_row[-1] - table[-1])
                 table.append(_row[-1])
     return table
 
@@ -180,10 +179,13 @@ def noonan_convolution(n: int) -> int:
 
     sum over b = 2..n-1 of (C_b - C_{b-1}) (C_{n-b+1} - C_{n-b}): the
     self-convolution of entries 2..n-1 of the difference row kept beside
-    the table. Terms b and n+1-b are equal, so it is taken as a half-sum.
-    The sum is empty (hence 0) for n < 3.
+    the table, grown here to entry n-1 first. Terms b and n+1-b are equal,
+    so it is taken as a half-sum. The sum is empty (hence 0) for n < 3.
     """
     if n < 1:
         raise InvalidRange(f"noonan_convolution requires n >= 1, got {n}")
-    _extend(n - 1)
+    table = _extend(n - 1)
+    if len(_diff) < n:
+        with _table_lock:
+            _diff.extend(table[m] - table[m - 1] for m in range(len(_diff), n))
     return _self_convolution(_diff[2:n])

@@ -46,11 +46,9 @@ _TABLE_BATCH = 100
 # every one is an occurrence (the identity against 1 2 3), 3-4 s on random
 # inputs, on a 2-core Xeon VM.
 _COUNT_WORK_CAP = 10**8
-# `verify` refuses larger N: at N = 2000 it takes about 3 s on a 2-core Xeon
-# VM with Python 3.11.7 (2.9-3.3 s, 8 fresh processes), most of it in the
-# per-n convolutions, whose cost grows about as N^3. The refusal message's
-# "about 4 s" is an earlier measurement, left as it is so that the error
-# output stays the same bytes.
+# `verify` refuses larger N: at N = 2000 it takes 2-3 s on a 2-core Xeon VM
+# with Python 3.11.7 (1.8-3.3 s over fresh processes), most of it in the
+# per-n convolutions, whose cost grows about as N^3.
 _VERIFY_CAP = 2000
 
 
@@ -151,7 +149,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     if args.max_n > _VERIFY_CAP:
         raise CapExceeded(
             f"verify --max-n {args.max_n} is above the cap {_VERIFY_CAP}: its per-n "
-            f"convolutions grow about as N^3 (about 4 s at N = {_VERIFY_CAP})"
+            f"convolutions grow about as N^3 (2-3 s at N = {_VERIFY_CAP})"
         )
     if args.max_n < 0:
         raise InvalidRange(f"verify requires max_n >= 0, got {args.max_n}")
@@ -207,13 +205,9 @@ def _cmd_decompose(args: SimpleNamespace) -> int:
 
 
 def _cmd_compose(args: SimpleNamespace) -> int:
-    from .bijection import Decomposition, compose
-    from .perms import parse_one_line, parse_value_sequence
+    from .bijection import _triple, compose
 
-    sigma1 = parse_one_line(args.sigma1)
-    sigma2 = parse_value_sequence(args.sigma2)
-    n = max(sigma2.values) if sigma2.values else args.b
-    print(compose(Decomposition(b=args.b, sigma1=sigma1, sigma2=sigma2, n=n)))
+    print(compose(_triple(args.b, args.sigma1, args.sigma2)))
     return 0
 
 

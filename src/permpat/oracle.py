@@ -163,12 +163,7 @@ def brute_distribution(
     threads.
 
     Each range returns its row packed into one integer, w bits per k with
-    n! < 2 ** w, so the packed row has at most (m + 1) * w bits. A child
-    sends it in decimal, which Python refuses past 4,300 digits (about
-    14,280 bits). At the default cap (n <= 10) the widest row, C(10, 5) + 1
-    = 253 entries of 22 bits, has under 1,700 digits; a row first passes
-    the limit at n = 12 with upto >= 492, a 12! scan, where a split count
-    raises InternalConstraintViolation and never returns a wrong row.
+    n! < 2 ** w.
 
     >>> brute_distribution(5, PATTERN_321, 3)
     [42, 27, 24, 7]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections.abc import Iterable, Sequence
-from itertools import accumulate
 
 from .errors import MultipleOccurrences, NoOccurrence, NotAPermutation
 
@@ -82,7 +81,12 @@ class _Values(_Frozen):
         return len(self.values)
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values)
+        return _text(self.values)
+
+
+def _text(values: Iterable[int]) -> str:
+    """The one-line text form of a value sequence: the values space-separated."""
+    return " ".join(map(str, values))
 
 
 class Permutation(_Values):
@@ -277,66 +281,73 @@ def is_avoiding_321(seq: Permutation | ValueSequence | Sequence[int]) -> bool:
     return True
 
 
-def count_321(perm: Permutation) -> int:
+def count_321(perm: Permutation | ValueSequence) -> int:
     """Number of 321 occurrences, as a sum over the middle position.
 
     For each j the contribution is (#i < j with p_i > p_j) times
     (#k > j with p_k < p_j). With s the number of smaller values before j,
     found by bisection in the sorted prefix, the first factor is j - s and,
-    since the values are 1..n, the second is p_j - 1 - s. Exact, and
-    quadratic only in the memory moves of the sorted insertions: on a 2-core
-    Xeon VM a random n = 3000 takes about 3 ms, and the longest `--perm` one
-    command-line argument can carry (128 KiB, n about 23,700) about 0.1 s.
-    Only in-process calls reach further; a random n = 100,000 takes about
-    1.4 s.
+    since the values are 1..n, the second is p_j - 1 - s. A ValueSequence
+    is ranked to 1..n first. Exact, and quadratic only in the memory moves
+    of the sorted insertions: on a 2-core Xeon VM a random n = 3000 takes
+    about 3 ms, and the longest `--perm` one command-line argument can
+    carry (128 KiB, n about 23,700) about 0.1 s. Only in-process calls
+    reach further; a random n = 100,000 takes about 1.4 s.
 
     >>> count_321(from_one_line([3, 2, 1, 4]))
     1
+    >>> count_321(ValueSequence((5, 4, 3)))
+    1
     """
-    return _sorted_and_321(perm.values)[1]
+    return _sorted_and_321(_ranks(perm))[1]
 
 
-def _sorted_and_321(values: Sequence[int]) -> tuple[list[int], int]:
-    """The sorted values and count_321's middle-position sum, in one pass.
+def _ranks(seq: Permutation | ValueSequence) -> tuple[int, ...]:
+    """The values of seq ranked to 1..n: a Permutation's own, standardized otherwise."""
+    return seq.values if isinstance(seq, Permutation) else standardize(seq.values).values
 
-    The sum is the 321 count when the values are 1..n, which the caller
-    checks against the sorted list where it is not known.
+
+def _sorted_and_321(values: Sequence[int]) -> tuple[list[int], int, int]:
+    """The sorted values, count_321's middle-position sum, and its last middle.
+
+    One pass over the sorted prefix. The last middle is the last position j
+    whose term (j - s)(v - 1 - s) is nonzero (-1 if none is): when the
+    values are 1..n every term is at least 0, so a sum of 1 is one term,
+    and that position is the middle of the only 321. The sum is the 321
+    count only when the values are 1..n, which the caller checks against
+    the sorted list where it is not known.
     """
     seen: list[int] = []
-    total = 0
+    total, middle = 0, -1
     for j, v in enumerate(values):
         s = bisect(seen, v)
         seen.insert(s, v)
-        total += (j - s) * (v - 1 - s)
-    return seen, total
+        if term := (j - s) * (v - 1 - s):
+            total += term
+            middle = j
+    return seen, total, middle
 
 
-def find_unique_321(perm: Permutation) -> Occurrence321:
+def find_unique_321(perm: Permutation | ValueSequence) -> Occurrence321:
     """The unique 321 occurrence of `perm`, as positions and values.
 
-    count_321 gives the total. When it is 1, the middle position j is the
-    only one with a larger value before it and a smaller value after it; one
-    scan with the running prefix maximum against the suffix minima finds
-    it, and i and k are found by one linear scan on each side. Raises
-    NoOccurrence when the count is 0 and MultipleOccurrences when it is at
-    least 2.
+    The pass behind count_321 gives the count and the middle position j of
+    the last nonzero term, which is the only one when the count is 1. Then
+    i is the first position before j with a larger value, and k the first
+    after j with a smaller one. The values are the sequence's own, also for
+    a ValueSequence. Raises NoOccurrence when the count is 0 and
+    MultipleOccurrences when it is at least 2.
 
     >>> find_unique_321(from_one_line([3, 2, 1, 4]))
     Occurrence321(positions=(1, 2, 3), values=(3, 2, 1))
     """
     v = perm.values
-    total = count_321(perm)
+    _, total, j = _sorted_and_321(_ranks(perm))
     if total == 0:
         raise NoOccurrence(f"{perm} contains no 321 occurrence")
     if total > 1:
         raise MultipleOccurrences(f"{perm} contains more than one 321 occurrence")
-    # min_from[t] is the least value at position t or later (n + 1 past the end).
-    min_from = list(accumulate(reversed(v), min, initial=len(v) + 1))[::-1]
-    top = 0
-    for j, b in enumerate(v):
-        if top > b > min_from[j + 1]:
-            break
-        top = max(top, b)
+    b = v[j]
     i = next(i for i in range(j) if v[i] > b)
     k = next(k for k in range(j + 1, len(v)) if v[k] < b)
     return Occurrence321((i + 1, j + 1, k + 1), (v[i], b, v[k]))

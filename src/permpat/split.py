@@ -31,14 +31,14 @@ def forked_sum(count: Callable[[range], int], parts: list[range], what: str) -> 
     """The sum of count(part) over parts, in one os.fork() child each if two or more.
 
     One part, or none, is counted here. Otherwise each child writes its
-    decimal count, or its error, to a pipe and leaves by os._exit. The pipes
-    are polled, so whichever child ends first is reaped first, by its own
-    pid: one that fails, exits nonzero, sends no count or dies by a signal
-    raises InternalConstraintViolation naming `what` and its range as soon
-    as it ends, while children forked before it may still be counting.
-    Every child is reaped, killed first if still running, and every pipe
-    closed before this returns or raises, also when a fork fails; children
-    of the caller's own are left alone.
+    count in hex, which has no digit limit, or its error, to a pipe and
+    leaves by os._exit. The pipes are polled, so whichever child ends
+    first is reaped first, by its own pid: one that fails, exits nonzero,
+    sends no count or dies by a signal raises InternalConstraintViolation
+    naming `what` and its range as soon as it ends, while children forked
+    before it may still be counting. Every child is reaped, killed first if
+    still running, and every pipe closed before this returns or raises,
+    also when a fork fails; children of the caller's own are left alone.
     """
     if len(parts) < 2:
         return sum(map(count, parts))
@@ -55,7 +55,7 @@ def forked_sum(count: Callable[[range], int], parts: list[range], what: str) -> 
             if pid == 0:
                 try:
                     try:
-                        data = b"%d" % count(part)
+                        data = b"%x" % count(part)
                     except BaseException as exc:
                         data = f"{type(exc).__name__}: {exc}".encode()
                     while data:
@@ -80,13 +80,13 @@ def forked_sum(count: Callable[[range], int], parts: list[range], what: str) -> 
                 poller.unregister(rfd)
                 os.close(rfd)
                 data = b"".join(chunks)
-                if code or not data.isdigit():
+                if code or not data or data.strip(b"0123456789abcdef"):
                     reason = data.decode(errors="replace") or "it sent no count"
                     if code:
                         reason = f"it died by signal {-code}" if code < 0 else f"it exited {code}"
                     where = f"{what} = {part.start}..{part.stop - 1} in child process {pid}"
                     raise InternalConstraintViolation(f"the count of {where} failed: {reason}")
-                total += int(data)
+                total += int(data, 16)
         return total
     finally:
         for rfd, (pid, *_) in children.items():

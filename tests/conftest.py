@@ -22,6 +22,25 @@ def naive_row():
 
 
 @pytest.fixture(scope="session")
+def exactly_two():
+    """exactly_two(n): the n-permutations with exactly two 321s, n >= 4, in closed form.
+
+    Noonan and Zeilberger's count, proved by Fulmek (2003). The division
+    is checked to be exact, so a wrong formula cannot hide in a floor.
+    """
+
+    def count(n):
+        two, rest = divmod(
+            (59 * n * n + 117 * n + 100) * math.comb(2 * n, n - 4),
+            2 * n * (2 * n - 1) * (n + 5),
+        )
+        assert rest == 0, n
+        return two
+
+    return count
+
+
+@pytest.fixture(scope="session")
 def naive_noonan_set():
     """naive_noonan_set(n): brute_noonan_set(n) as a tuple, one naive n! scan per n for the session.
 

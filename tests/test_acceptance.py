@@ -11,7 +11,6 @@ import time
 from permpat.avoiders import enumerate_avoiders, enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import Decomposition, compose, decompose
 from permpat.catalan import (
-    binomial,
     catalan,
     catalan_table,
     noonan_catalan_form,
@@ -46,14 +45,9 @@ def test_criterion_1_theorem_end_to_end(naive_row):
     )
 
 
-def test_state_oracle_confirms_the_closed_forms_to_n_30():
+def test_state_oracle_confirms_the_closed_forms_to_n_30(exactly_two):
     # criterion 1 carried past the naive scan's reach, and the exactly-two
     # count conjectured by Noonan and Zeilberger and proved by Fulmek (2003)
-    def exactly_two(n):
-        return (59 * n * n + 117 * n + 100) * binomial(2 * n, n - 4) // (
-            2 * n * (2 * n - 1) * (n + 5)
-        )
-
     # a_1 and a_2 off one row per n <= 16, a_1 alone past it; no cap, so
     # the state budget admits each of them
     start = time.perf_counter()

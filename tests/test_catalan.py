@@ -1,4 +1,6 @@
 import importlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -77,9 +79,14 @@ def test_table_grown_in_steps_equals_the_table_built_at_once(monkeypatch):
 
     fresh()
     steps = [catalan_table(n) for n in (0, 10, 500)]
+    # Only the convolution grows the difference row, and only as far as it reads.
+    assert module._diff == [1]
+    stepped_sums = [noonan_convolution(n) for n in (3, 12, 501)]
+    assert len(module._diff) == 501
     stepped_row, stepped_diff = module._row, module._diff
     fresh()
     at_once = catalan_table(500)
+    assert noonan_convolution(501) == stepped_sums[-1]
     assert steps[-1] == at_once
     assert steps[:2] == [at_once[:1], at_once[:11]]
     # The kept row is row 500 of the triangle, ending in C_500, either way.
@@ -88,6 +95,37 @@ def test_table_grown_in_steps_equals_the_table_built_at_once(monkeypatch):
     # The kept differences are C_m - C_{m-1} for m = 0..500, with C_{-1} = 0.
     assert stepped_diff == module._diff
     assert stepped_diff == [catalan(m) - (catalan(m - 1) if m else 0) for m in range(501)]
+
+
+def test_threads_growing_the_difference_row_at_once_leave_it_right(monkeypatch):
+    # Each round, four threads released together ask a fresh table for the
+    # same convolution, with a short switch interval; a row grown without
+    # the lock gets entries twice.
+    module = importlib.import_module("permpat.catalan")
+    want_row = [catalan(m) - (catalan(m - 1) if m else 0) for m in range(300)]
+    rounds = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            for name in ("_table", "_diff", "_row"):
+                monkeypatch.setattr(module, name, [1])
+            start, sums = threading.Barrier(4, timeout=60), []
+
+            def work():
+                start.wait()
+                sums.append(noonan_convolution(300))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            rounds.append((sums, module._diff))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(sums == [noonan_closed(300)] * 4 and row == want_row for sums, row in rounds)
 
 
 def test_table_routes_refuse_sizes_past_the_cap():

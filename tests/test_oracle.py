@@ -45,17 +45,7 @@ def test_counts_over_all_k_sum_to_factorial(naive_row):
         assert sum(naive_row(n)) == math.factorial(n)
 
 
-def _exactly_two(n):
-    # Noonan and Zeilberger's exactly-two count, proved by Fulmek (2003)
-    two, rest = divmod(
-        (59 * n * n + 117 * n + 100) * math.comb(2 * n, n - 4),
-        2 * n * (2 * n - 1) * (n + 5),
-    )
-    assert rest == 0, n
-    return two
-
-
-def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula(naive_row):
+def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula(naive_row, exactly_two):
     for n in range(10):
         row = naive_row(n)
         # each triple of positions is a 321 with probability 1/6
@@ -64,7 +54,7 @@ def test_naive_tally_meets_the_mean_the_top_count_and_the_exactly_two_formula(na
             # only the decreasing permutation has every triple a 321
             assert row[-1] == 1
         if n >= 4:
-            assert row[2] == _exactly_two(n), n
+            assert row[2] == exactly_two(n), n
 
 
 def test_other_patterns_are_supported():
@@ -198,14 +188,14 @@ def test_state_count_equals_a_naive_tally_for_every_k(naive_row):
         assert count_321_exactly_k(n, math.comb(n, 3) + 1) == 0
 
 
-def test_state_count_row_at_n_10():
+def test_state_count_row_at_n_10(exactly_two):
     # past the naive rows' reach, the whole row against what is known of it
     n, top = 10, math.comb(10, 3)
     row = distribution_321(n, top)
     assert len(row) == top + 1
     assert sum(row) == math.factorial(n)
     assert 6 * sum(k * a for k, a in enumerate(row)) == math.factorial(n) * top
-    assert row[:3] == [catalan(n), noonan_closed(n), _exactly_two(n)]
+    assert row[:3] == [catalan(n), noonan_closed(n), exactly_two(n)]
     assert row[top] == 1
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permpat.avoiders import enumerate_sigma2
 from permpat.errors import (
     MultipleOccurrences,
     NoOccurrence,
@@ -175,12 +176,20 @@ def test_count_321_examples():
     assert count_321(perm(1)) == 0
 
 
-def test_counters_agree_exhaustively_up_to_6():
+def test_value_sequences_are_ranked_before_the_321_pass():
+    # The pass's terms assume the values 1..n; a ValueSequence over other
+    # values is ranked first, and its occurrence keeps its own values.
     for n in range(7):
         for vals in itertools.permutations(range(1, n + 1)):
-            p = Permutation(vals)
-            naive = count_pattern(p, PATTERN_321)
-            assert count_321(p) == naive
+            seq = ValueSequence(v + 4 for v in vals)
+            assert count_321(seq) == count_occurrences(seq.values, (3, 2, 1))
+            if count_321(seq) == 1:
+                occ = find_unique_321(Permutation(vals))
+                shifted = tuple(v + 4 for v in occ.values)
+                assert find_unique_321(seq) == Occurrence321(occ.positions, shifted)
+    assert count_321(ValueSequence((5, 4, 3))) == 1
+    assert count_321(next(enumerate_sigma2(3, 7))) == 0  # 4 3 5 6 7
+    assert find_unique_321(ValueSequence((4, 3, 2, 5))) == Occurrence321((1, 2, 3), (4, 3, 2))
 
 
 def test_counters_agree_on_random_sample():

@@ -102,6 +102,20 @@ def test_a_whole_count_from_a_child_that_then_fails_is_refused(fails_after, monk
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_count_past_the_decimal_digit_limit_comes_back_whole():
+    # Python refuses to convert an int of more than 4,300 digits to or from
+    # decimal text by default; a child's count travels in hex, which has no
+    # such limit. The limit is set here, since a CLI run in this process lifts it.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert forked_sum(lambda r: 10**5000 * len(r), ranges(range(4), 2), "v") == 4 * 10**5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_a_child_error_or_an_empty_pipe_is_refused(fails_after, monkeypatch):
     def count(r):
         if r.start:

@@ -15,22 +15,27 @@ the maximum would form a 321 with the maximum before it and the smaller
 unused value still to come. Both kinds of step keep the prefix extendable,
 so the search has no dead ends.
 
-How a prefix can be completed depends only on its ballot state: r unused
+How a prefix can be completed depends only on its ballot state: k unused
 values, s of them below the prefix maximum. There are
-(s+1)/(r+1) binom(2r-s, r) completions, and as patterns of ranks among the
+(s+1)/(k+1) binom(2k-s, k) completions, and as patterns of ranks among the
 unused values they are the same for every prefix in that state (Ruskey,
-*Combinatorial Generation*; Knuth, TAOCP 4A §7.2.1.6). So generation walks
-the prefixes that leave at most _TAIL values unused, depth first, and reads
-each prefix's completions off a table of rank patterns per state, built on
-first use. Every tuple of the three streams is checked to hold exactly
-the values of its family before it is wrapped or printed. The one-321
-enumeration reads the unchecked walks, _avoiders and _right_factors, and
-checks each item it builds from them instead.
+*Combinatorial Generation*; Knuth, TAOCP 4A §7.2.1.6). One walk, _walk,
+generates every avoider here, and the table too. It keeps each prefix's
+state s on its stack, steps down to the prefixes that leave at most _TAIL
+values unused, and reads each one's completions off the table entry of its
+state. The entry, _tails(k, s, ...), is the same walk over the ranks
+0..k-1: one step, then the entries one size smaller. Entries are built on
+first use, never at import, and share one getter per rank pattern: the
+completions of state (k, s) are among those of (k, 0), so all the entries
+of size k hold C_k getters between them.
+Every tuple of the three streams is checked to hold exactly the values of
+its family before it is wrapped or printed. The one-321 enumeration reads
+the unchecked walks, _avoiders and _right_factors, and checks each item it
+builds from them instead.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections.abc import Iterator
 from functools import cache
 from itertools import chain
@@ -50,28 +55,43 @@ def _tails(k: int, s: int, max_last: bool) -> tuple:
     The state is k unused values, s of them below the prefix maximum. Each
     getter maps the sorted unused values to one completion, in lexicographic
     order. Without `max_last`, the completions ending with the largest unused
-    value are dropped. Built on first use.
+    value are left out. For k >= 2 the completions are the walk over the
+    ranks 0..k-1, read off as index patterns. Built on first use.
     """
-    patterns = _patterns(k, s)
-    if not max_last:
-        patterns = [p for p in patterns if p[-1:] != (k - 1,)]
-    # itemgetter needs two indices to return a tuple; tuple() reads the one
-    # completion of a state with at most one unused value.
-    return tuple(tuple if k <= 1 else itemgetter(*p) for p in patterns)
+    # tuple() reads the one completion of at most one unused value; itemgetter
+    # needs two indices to return a tuple.
+    if k <= 1:
+        return (tuple,) if max_last or k == 0 else ()
+    return tuple(map(_getter, _walk((), s, tuple(range(k)), k - 1, None if max_last else k - 1)))
 
 
 @cache
-def _patterns(k: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """The completions of ballot state (k, s) as ranks 0..k-1, lexicographically."""
-    if k == 0:
-        return ((),)
-    # Rank 0 is the smallest unused value; a rank r >= max(s, 1) is a value
-    # above the prefix maximum and becomes the new maximum with r below it.
-    return tuple(
-        (r, *[j + (j >= r) for j in p])
-        for r in (0, *range(max(s, 1), k))
-        for p in _patterns(k - 1, max(s - 1, 0) if r == 0 else r)
-    )
+def _getter(pattern: tuple[int, ...]) -> itemgetter:
+    """The one getter of a rank pattern, shared by every table entry that holds it."""
+    return itemgetter(*pattern)
+
+
+def _walk(
+    prefix: tuple[int, ...], s: int, unused: tuple[int, ...], k: int, top: int | None
+) -> Iterator[tuple[int, ...]]:
+    """Every 321-avoiding completion of the prefix by the sorted unused values.
+
+    s of the unused values lie below the prefix maximum. The walk steps down
+    to the prefixes that leave k values unused and reads their completions
+    off the table, in lexicographic order. With `top` given, the completions
+    ending with that value are left out.
+    """
+    # Depth first, children pushed in reverse so that they pop in increasing
+    # order. Rank 0 is the smallest unused value; a rank r >= max(s, 1) is a
+    # value above the prefix maximum and becomes the new maximum with r below it.
+    stack = [(prefix, s, unused)]
+    while stack:
+        prefix, s, unused = stack.pop()
+        if len(unused) == k:
+            yield from [prefix + get(unused) for get in _tails(k, s, top not in unused)]
+            continue
+        for r in reversed((0, *range(max(s, 1), len(unused)))):
+            stack.append((prefix + (unused[r],), r or max(s - 1, 0), unused[:r] + unused[r + 1 :]))
 
 
 def _avoiders(
@@ -84,23 +104,15 @@ def _avoiders(
     """
     head = () if first is None else (first,)
     unused = tuple(v for v in range(lo, hi + 1) if v != first)
-    k = min(_TAIL, len(unused))
-    # Depth-first over the prefixes that leave k values unused, children
-    # pushed in reverse so that they pop in increasing order.
-    stack = [(head, max(head, default=0), unused)]
-    while stack:
-        prefix, top, unused = stack.pop()
-        s = bisect(unused, top)
-        if len(unused) == k:
-            gets = _tails(k, s, max_last or hi not in unused)
-            yield from [prefix + get(unused) for get in gets]
-            continue
-        for i in reversed((0, *range(max(s, 1), len(unused)))):
-            v = unused[i]
-            stack.append((prefix + (v,), max(top, v), unused[:i] + unused[i + 1 :]))
+    # The first value leaves first - lo unused values below it.
+    s = 0 if first is None else first - lo
+    return _walk(head, s, unused, min(_TAIL, len(unused)), None if max_last else hi)
 
 
-def _check_cap(m: int, cap: int, what: str) -> None:
+def _check_cap(m: int, cap: int | None, what: str) -> None:
+    """Refuse a negative length, or one above the cap; no cap means DEFAULT_CAP."""
+    if cap is None:
+        cap = DEFAULT_CAP
     if m < 0:
         raise InvalidRange(f"{what} requires a nonnegative length, got {m}")
     if m > cap:
@@ -116,19 +128,19 @@ def _checked(tuples: Iterator[tuple[int, ...]], lo: int, hi: int) -> Iterator[tu
         yield t
 
 
-def _avoider_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _avoider_tuples(n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     _check_cap(n, cap, "avoider generation")
     return _checked(_avoiders(1, n), 1, n)
 
 
-def _sigma1_tuples(b: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _sigma1_tuples(b: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     if b < 2:
         raise InvalidRange(f"the middle value b must be at least 2, got {b}")
     _check_cap(b, cap, "left-factor generation")
     return _checked(_avoiders(1, b, max_last=False), 1, b)
 
 
-def _sigma2_tuples(b: int, n: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _sigma2_tuples(b: int, n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     if not 2 <= b <= n - 1:
         raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
     _check_cap(n - b + 1, cap, "right-factor generation")

@@ -189,7 +189,7 @@ def _index(factor: tuple[int, ...], b: int) -> int:
         raise InternalConstraintViolation(f"generated {_text(factor)} lacks b={b}") from None
 
 
-def _noonan_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _noonan_tuples(n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     """The checked tuples of enumerate_noonan, in ascending b; the cap is checked first."""
     from .avoiders import _check_cap
 
@@ -197,7 +197,7 @@ def _noonan_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_noonan_for_b(b, n) for b in range(2, n))
 
 
-def _count_noonan(n: int, cap: int, threads: int) -> int:
+def _count_noonan(n: int, cap: int | None, threads: int) -> int:
     """The number of tuples _noonan_tuples(n, cap) yields, split over b ranges."""
     from .avoiders import _check_cap
     from .split import forked_sum, ranges

@@ -136,11 +136,9 @@ def _cmd_noonan(args: SimpleNamespace) -> int:
     elif args.method == "oracle":
         value = _oracle_count(args, 1)
     else:
-        from .avoiders import DEFAULT_CAP
         from .bijection import _count_noonan
 
-        cap = args.cap if args.cap is not None else DEFAULT_CAP
-        value = _count_noonan(args.n, cap, args.threads)
+        value = _count_noonan(args.n, args.cap, args.threads)
     print(value)
     return 0
 
@@ -171,15 +169,14 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _cmd_enumerate(args: SimpleNamespace) -> int:
-    from .avoiders import DEFAULT_CAP, _avoider_tuples, _sigma1_tuples, _sigma2_tuples
+    from .avoiders import _avoider_tuples, _sigma1_tuples, _sigma2_tuples
 
-    cap = args.cap if args.cap is not None else DEFAULT_CAP
     family = args.family
     if family in ("avoiders", "sigma2", "noonan") and args.n is None:
         raise UsageError(f"--n is required for --family {family}")
     if family in ("sigma1", "sigma2") and args.b is None:
         raise UsageError(f"--b is required for --family {family}")
-    n, b = args.n, args.b
+    n, b, cap = args.n, args.b, args.cap
     if family == "avoiders":
         stream, top, expected = _avoider_tuples(n, cap), n, catalan(n)
     elif family == "sigma1":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterable, Sequence
 
-from .errors import MultipleOccurrences, NoOccurrence, NotAPermutation
+from .errors import InvalidRange, MultipleOccurrences, NoOccurrence, NotAPermutation
 
 # The largest length the avoider and one-321 enumerations generate without an
 # explicit cap. It lives here so that `bijection` can name it as a default
@@ -154,9 +154,9 @@ class Occurrence321(_Frozen):
         i, j, k = positions
         c, b, a = values
         if not (1 <= i < j < k):
-            raise ValueError(f"positions {positions} not strictly increasing")
+            raise InvalidRange(f"positions {positions} not strictly increasing")
         if not (c > b > a >= 1):
-            raise ValueError(f"values {values} not strictly decreasing")
+            raise InvalidRange(f"values {values} not strictly decreasing")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "values", values)
 
@@ -269,8 +269,9 @@ def is_avoiding_321(seq: Permutation | ValueSequence | Sequence[int]) -> bool:
     False
     """
     values = getattr(seq, "values", seq)
-    m1 = 0  # prefix maximum
-    m2 = 0  # largest value with a larger value before it
+    # Both start below every value, so that values <= 0 are judged too.
+    m1 = float("-inf")  # prefix maximum
+    m2 = float("-inf")  # largest value with a larger value before it
     for v in values:
         if v < m2:
             return False

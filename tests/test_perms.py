@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from permpat.avoiders import enumerate_sigma2
 from permpat.errors import (
+    InvalidRange,
     MultipleOccurrences,
     NoOccurrence,
     NotAPermutation,
@@ -84,9 +85,9 @@ def test_value_sequence_rejects_duplicates_and_nonpositive():
 def test_occurrence_triple_is_checked():
     occ = Occurrence321((1, 2, 3), (3, 2, 1))
     assert occ.positions == (1, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRange):
         Occurrence321((2, 1, 3), (3, 2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRange):
         Occurrence321((1, 2, 3), (1, 2, 3))
 
 

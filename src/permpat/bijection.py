@@ -18,7 +18,11 @@ pass gives both the 321 count and the position of b. compose() and the
 enumeration run the one splice, _splice(b, n, lefts, rights): compose()
 on its one pair, the enumeration on every pair of block b, b by b, in
 one process. The splice cuts each factor once at b, into (p1, p2, a) and
-(c, p3, p4), and checks no factor; every item is a plain tuple, checked
+(c, p3, p4). It keeps the cut right factors only when a second left
+factor will replay them: block 2 has one left factor, 2 1, and compose()
+one pair, so each of their right factors is spliced as the walk yields
+it and dropped, and a splice with no left factor walks no right factor.
+The splice checks no factor; every item is a plain tuple, checked
 on its own by the same pass to hold exactly 1..n with a middle-position
 321 sum of exactly 1. That check covers the factors too. The item's
 values p1 c p2 a stand in sigma1's order, since c takes b's place and is
@@ -152,26 +156,44 @@ def _splice(
     """p1 c p2 b p3 a p4 for each left factor p1 b p2 a and right factor c p3 b p4.
 
     Lefts in the outer loop, rights in the inner; each item is checked on
-    its own (see the module docstring), no factor is.
+    its own (see the module docstring), no factor is. The rights are walked
+    once, and only when there is a left factor.
     """
-    # sigma2 = c p3 b p4 is kept as three columns, which take less memory
-    # than a tuple per factor; the few distinct p3 pieces are stored once
-    # each.
-    cs, p3s, p4s, shared = [], [], [], {}
-    for s2 in rights:
-        q = _index(s2, b)
-        cs.append(s2[0])
-        p3s.append(shared.setdefault(s2[1:q], s2[1:q]))
-        p4s.append(s2[q + 1 :])
+    lefts = iter(lefts)
+    first = next(lefts, None)
+    if first is None:
+        return
+    second = next(lefts, None)
+    cuts = (_cut_right(s2, b) for s2 in rights)
+    if second is None:
+        # One left factor (block 2, and compose's one pair) replays nothing:
+        # each right factor is spliced as the walk yields it, and not kept.
+        pairs = ((first, cuts),)
+    else:
+        # A second left factor replays every right, so the rights are kept,
+        # as three columns, which take less memory than a tuple per factor;
+        # the few distinct p3 pieces are stored once each.
+        cs, p3s, p4s, shared = [], [], [], {}
+        for c, p3, p4 in cuts:
+            cs.append(c)
+            p3s.append(shared.setdefault(p3, p3))
+            p4s.append(p4)
+        pairs = ((s1, zip(cs, p3s, p4s)) for s1 in chain((first, second), lefts))
     values = list(range(1, n + 1))
-    for s1 in lefts:
+    for s1, cut_rights in pairs:
         # sigma1 = p1 b p2 a
         p = _index(s1, b)
         p1, p2, a = s1[:p], s1[p + 1 : -1], s1[-1]
-        for c, p3, p4 in zip(cs, p3s, p4s):
+        for c, p3, p4 in cut_rights:
             t = (*p1, c, *p2, b, *p3, a, *p4)
             _check_one_321(t, values)
             yield t
+
+
+def _cut_right(s2: tuple[int, ...], b: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A right factor sigma2 = c p3 b p4 as (c, p3, p4)."""
+    q = _index(s2, b)
+    return s2[0], s2[1:q], s2[q + 1 :]
 
 
 def _noonan_for_b(b: int, n: int) -> Iterator[tuple[int, ...]]:

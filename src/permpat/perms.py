@@ -344,10 +344,11 @@ def find_unique_321(perm: Permutation | ValueSequence) -> Occurrence321:
     """
     v = perm.values
     _, total, j = _sorted_and_321(_ranks(perm))
-    if total == 0:
-        raise NoOccurrence(f"{perm} contains no 321 occurrence")
-    if total > 1:
-        raise MultipleOccurrences(f"{perm} contains more than one 321 occurrence")
+    if total != 1:
+        subject = str(perm) or "the empty permutation"
+        if total == 0:
+            raise NoOccurrence(f"{subject} contains no 321 occurrence")
+        raise MultipleOccurrences(f"{subject} contains more than one 321 occurrence")
     b = v[j]
     i = next(i for i in range(j) if v[i] > b)
     k = next(k for k in range(j + 1, len(v)) if v[k] < b)

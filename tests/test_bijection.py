@@ -1,6 +1,9 @@
 import copy
+import hashlib
 import os
 import pickle
+import tracemalloc
+from collections import deque
 from itertools import chain
 
 import pytest
@@ -13,7 +16,9 @@ from permpat.bijection import (
     Decomposition,
     _check_one_321,
     _count_noonan,
+    _noonan_for_b,
     _noonan_tuples,
+    _splice,
     compose,
     decompose,
     enumerate_noonan,
@@ -21,7 +26,7 @@ from permpat.bijection import (
     parse_decomposition,
     validate_decomposition,
 )
-from permpat.catalan import noonan_closed
+from permpat.catalan import catalan, noonan_closed
 from permpat.cli import run
 from permpat.errors import (
     CapExceeded,
@@ -304,6 +309,57 @@ def test_every_noonan_tuple_goes_through_the_check(monkeypatch):
     monkeypatch.setattr(bijection, "_check_one_321", lambda t, values: checked.append((t, values)))
     streamed = [p.values for p in enumerate_noonan(7)]
     assert checked == [(t, [1, 2, 3, 4, 5, 6, 7]) for t in streamed]
+
+
+def test_noonan_stream_ascends_in_b_and_is_lexicographic_within_each_block():
+    for n in range(11):
+        stream = list(_noonan_tuples(n, None))
+        bs = [find_unique_321(Permutation._trusted(t)).values[1] for t in stream]
+        assert bs == sorted(bs)
+        blocks = {}
+        for b, t in zip(bs, stream):
+            blocks.setdefault(b, []).append(t)
+        assert list(blocks) == list(range(2, n))
+        for b, block in blocks.items():
+            assert all(s < t for s, t in zip(block, block[1:]))
+            assert len(block) == (catalan(b) - catalan(b - 1)) * (catalan(n - b + 1) - catalan(n - b))
+
+
+def test_splice_without_a_left_factor_walks_no_right_factor():
+    def rights():
+        raise AssertionError("a right factor was walked")
+        yield
+
+    assert list(_splice(3, 6, [], rights())) == []
+    assert list(_splice(3, 6, iter(()), rights())) == []
+
+
+@pytest.mark.parametrize(
+    "b, lefts, sha256",
+    [
+        (2, 1, "70d444872f8fed58882b5b12280450bc2506fc0e5e3acb490b6637b247fd5498"),
+        (5, 28, "ebf82c9f1d0908c127365191d1bab89664741baa5457877b9e97faded8bb1972"),
+    ],
+)
+def test_one_left_and_several_left_blocks_keep_their_bytes(b, lefts, sha256):
+    # Block b at n = 9 as printed lines: block 2 takes the one-left path of
+    # the splice, block 5 the path that keeps the right factors.
+    assert catalan(b) - catalan(b - 1) == lefts
+    text = "".join(" ".join(map(str, t)) + "\n" for t in _noonan_for_b(b, 9))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def test_block_2_keeps_no_right_factor():
+    # Its one left factor, 2 1, meets each right factor once, so none is
+    # kept; keeping its 41,990 right factors at n = 12 peaks at 5.4 MB.
+    deque(_noonan_for_b(2, 10), 0)  # builds the completion tables
+    tracemalloc.start()
+    try:
+        deque(_noonan_for_b(2, 12), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 # Each fault replaces one call of avoiders._avoiders, the walk behind both

@@ -509,6 +509,14 @@ def test_domain_errors_exit_1_with_named_diagnostic(invoke):
         assert err.startswith(name)
 
 
+def test_decompose_names_the_empty_permutation(invoke):
+    assert invoke("decompose", "--perm", "") == (
+        1,
+        "",
+        "NoOccurrence: the empty permutation contains no 321 occurrence\n",
+    )
+
+
 def test_usage_errors_exit_2(invoke):
     # help and usage errors come from argparse
     code, out, _ = invoke("--help")

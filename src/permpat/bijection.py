@@ -13,7 +13,7 @@ of {1..b} not ending with b, sigma2 over {b..n} not starting with b. The
 map is a bijection onto all such pairs with 2 <= b <= n-1, which is what
 compose() inverts and enumerate_noonan() exploits.
 
-decompose() finds (c, b, a) with find_unique_321, whose one sorted-prefix
+decompose() finds (c, b, a) with find_unique_321, whose one bit-set
 pass gives both the 321 count and the position of b. compose() and the
 enumeration run the one splice, _splice(b, n, lefts, rights): compose()
 on its one pair, the enumeration on every pair of block b, b by b, in
@@ -34,6 +34,23 @@ out of range leaves 1..n, and a factor without b cannot be split.
 The CLI prints the tuples and, at the end of the stream, checks that
 their number is the closed-form count.
 
+The pass over an item is cut at b into two parts whose sums add up. The
+head p1 c p2 b is passed once per left factor and run of equal c. The
+tail p3 a p4 resumes from the head's bit set and length, which is all
+it reads of the head: a term needs only its position and how many
+values before it are smaller. So a block that keeps its right factors
+passes the tails of one key (head bit set, head length, a) once, for
+the first left factor with that key, and keeps their sums beside the
+run for every later one; each item still adds its own head's sum. The
+key holds every input of the tail's pass, so each item gets the verdict
+of a full pass over it. Each part's sum is capped at 2, and is 2
+outright unless the values so far are distinct and within 1..n; where
+they are, no term is negative, so the parts add up to 1 exactly when the
+item is a permutation of 1..n with one 321. For valid factors the
+head's bit set is that of 1..b less a plus c, so a block passes each
+tail once per value of a rather than once per left factor. The one-left
+path keeps no sum.
+
 The count of those items (CLI `noonan --method bijection`) can split:
 b = 2..n-1 is cut into ranges of equally many blocks (split.ranges),
 counted by the same checked generators in forked children
@@ -45,7 +62,8 @@ stream itself never splits.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .errors import ConstraintViolation, InternalConstraintViolation
 from .perms import (
@@ -53,7 +71,7 @@ from .perms import (
     Permutation,
     ValueSequence,
     _Frozen,
-    _sorted_and_321,
+    _pass_321,
     _text,
     find_unique_321,
     is_avoiding_321,
@@ -143,13 +161,6 @@ def compose(d: Decomposition) -> Permutation:
     return Permutation._trusted(next(_splice(d.b, d.n, [d.sigma1.values], [d.sigma2.values])))
 
 
-def _check_one_321(t: tuple[int, ...], values: list[int]) -> None:
-    """Raise InternalConstraintViolation unless t arranges `values` (1..n) with one 321."""
-    seen, total, _ = _sorted_and_321(t)
-    if total != 1 or seen != values:
-        raise InternalConstraintViolation(f"generated {_text(t)} is not a one-321 permutation")
-
-
 def _splice(
     b: int, n: int, lefts: Iterable[tuple[int, ...]], rights: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
@@ -164,30 +175,87 @@ def _splice(
     if first is None:
         return
     second = next(lefts, None)
-    cuts = (_cut_right(s2, b) for s2 in rights)
+    runs = groupby((_cut_right(s2, b) for s2 in rights), itemgetter(0))
+    full = (1 << (n + 1)) - 2  # the bit set of 1..n
     if second is None:
         # One left factor (block 2, and compose's one pair) replays nothing:
-        # each right factor is spliced as the walk yields it, and not kept.
-        pairs = ((first, cuts),)
-    else:
-        # A second left factor replays every right, so the rights are kept,
-        # as three columns, which take less memory than a tuple per factor;
-        # the few distinct p3 pieces are stored once each.
-        cs, p3s, p4s, shared = [], [], [], {}
-        for c, p3, p4 in cuts:
-            cs.append(c)
+        # each right factor is spliced as the walk yields it, and neither it
+        # nor its tail sum is kept.
+        p1, p2, a = _cut_left(first, b)
+        for c, run in runs:
+            head = (*p1, c, *p2, b)
+            h = len(head)
+            mask, head_sum = _part_321(head, 0, 0, full)
+            for _, p3, p4 in run:
+                tail = p3 + (a,) + p4
+                t = head + tail
+                if head_sum + _tail_sum(tail, h, mask, full) != 1:
+                    raise _not_one_321(t)
+                yield t
+        return
+    # A second left factor replays every right, so the rights are kept, as
+    # two columns per run of equal c, which take less memory than a tuple
+    # per factor; the few distinct p3 pieces are stored once each. Beside
+    # each run, the tail sums of every key seen so far are kept too.
+    kept, shared = [], {}
+    for c, run in runs:
+        p3s, p4s = [], []
+        for _, p3, p4 in run:
             p3s.append(shared.setdefault(p3, p3))
             p4s.append(p4)
-        pairs = ((s1, zip(cs, p3s, p4s)) for s1 in chain((first, second), lefts))
-    values = list(range(1, n + 1))
-    for s1, cut_rights in pairs:
-        # sigma1 = p1 b p2 a
-        p = _index(s1, b)
-        p1, p2, a = s1[:p], s1[p + 1 : -1], s1[-1]
-        for c, p3, p4 in cut_rights:
-            t = (*p1, c, *p2, b, *p3, a, *p4)
-            _check_one_321(t, values)
-            yield t
+        kept.append((c, p3s, p4s, {}))
+    for s1 in chain((first, second), lefts):
+        p1, p2, a = _cut_left(s1, b)
+        for c, p3s, p4s, sums_by_key in kept:
+            head = (*p1, c, *p2, b)
+            h = len(head)
+            mask, head_sum = _part_321(head, 0, 0, full)
+            # The tail p3 a p4 reads only the head's bit set and length,
+            # a and the right factor: every input of its sum is in the key.
+            sums = sums_by_key.get((mask, h, a))
+            if sums is None:
+                sums = sums_by_key[mask, h, a] = bytes(
+                    [_tail_sum(p3 + (a,) + p4, h, mask, full) for p3, p4 in zip(p3s, p4s)]
+                )
+            for p3, p4, tail_sum in zip(p3s, p4s, sums):
+                t = (*head, *p3, a, *p4)
+                if head_sum + tail_sum != 1:
+                    raise _not_one_321(t)
+                yield t
+
+
+def _part_321(values: tuple[int, ...], j: int, mask: int, full: int) -> tuple[int, int]:
+    """The one-321 pass over values, resumed after j values with bit set mask.
+
+    Returns the bit set and the values' share of the middle-position sum,
+    capped at 2, the least sum above 1. The share is 2 also unless the
+    j + len(values) values so far are distinct and within 1..n, the bits
+    of `full`; where they are, no term is negative, so two shares add up
+    to 1 exactly when the whole sum is 1.
+    """
+    try:
+        bits, total, _ = _pass_321(values, j, mask)
+    except ValueError:  # a negative value has no bit
+        return mask, 2
+    if bits & ~full or bits.bit_count() != j + len(values):
+        return bits, 2
+    return bits, min(total, 2)
+
+
+def _tail_sum(tail: tuple[int, ...], j: int, mask: int, full: int) -> int:
+    """The tail's share of its item's sum: 2 unless the item holds exactly 1..n."""
+    bits, total = _part_321(tail, j, mask, full)
+    return total if bits == full else 2
+
+
+def _not_one_321(t: tuple[int, ...]) -> InternalConstraintViolation:
+    return InternalConstraintViolation(f"generated {_text(t)} is not a one-321 permutation")
+
+
+def _cut_left(s1: tuple[int, ...], b: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """A left factor sigma1 = p1 b p2 a as (p1, p2, a)."""
+    p = _index(s1, b)
+    return s1[:p], s1[p + 1 : -1], s1[-1]
 
 
 def _cut_right(s2: tuple[int, ...], b: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

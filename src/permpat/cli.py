@@ -71,7 +71,8 @@ def _cmd_count(args: SimpleNamespace) -> int:
 
     perm = parse_one_line(args.perm)
     pattern = parse_one_line(args.pattern)
-    # 321 has a sorted-prefix counter; the generic one costs a step per occurrence.
+    # 321 has a bit-set counter, quadratic only in machine words; the generic
+    # one costs a step per occurrence.
     if pattern == PATTERN_321:
         print(count_321(perm))
         return 0

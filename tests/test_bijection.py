@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import pickle
+import random
 import tracemalloc
 from collections import deque
 from itertools import chain
@@ -14,7 +15,6 @@ from permpat import avoiders, bijection
 from permpat.avoiders import enumerate_sigma1, enumerate_sigma2
 from permpat.bijection import (
     Decomposition,
-    _check_one_321,
     _count_noonan,
     _noonan_for_b,
     _noonan_tuples,
@@ -39,6 +39,7 @@ from permpat.perms import (
     Permutation,
     ValueSequence,
     count_321,
+    count_occurrences,
     find_unique_321,
     parse_one_line,
 )
@@ -290,25 +291,107 @@ def test_split_count_checks_the_cap_first():
         _count_noonan(15, 14, 2)
 
 
-@pytest.mark.parametrize(
-    "t",
-    [
-        (4, 3, 1, 2),  # a permutation with two 321s: 4 3 1 and 4 3 2
-        (1, 2, 3, 4),  # a permutation with none
-        (3, 2, 1, 3),  # a repeated value; its middle-position sum is still 1
-        (3, 2, 1, 5),  # a value out of range; its middle-position sum is still 1
-    ],
-)
+def splice_by_hand(b, lefts, rights):
+    """p1 c p2 b p3 a p4 for every pair, left factors outer, unchecked."""
+    for s1 in lefts:
+        p = s1.index(b)
+        for s2 in rights:
+            q = s2.index(b)
+            yield s1[:p] + s2[:1] + s1[p + 1 : -1] + (b,) + s2[1:q] + s1[-1:] + s2[q + 1 :]
+
+
+def is_one_321(t, n):
+    return sorted(t) == list(range(1, n + 1)) and count_occurrences(t, (3, 2, 1)) == 1
+
+
+_BLOCK_3 = [(1, 3, 2), (2, 3, 1), (3, 1, 2)], [(4, 3, 5), (4, 5, 3), (5, 3, 4)]
+
+# Each rejected item t, with the block (b, n, left factors, right factors)
+# whose splice meets it after every item before it passed.
+_REJECTED_IN = {
+    # two 321s, 4 2 1 and 4 3 1: the head 4 2 3 holds the values of 2 4 3,
+    # an earlier head with the same a, and reuses its tail sums
+    (4, 2, 3, 1, 5): (3, 5, _BLOCK_3[0] + [(3, 2, 1)], _BLOCK_3[1]),
+    # none: the head 1 2 3 4 reuses the tail sum of 3 2 1 4
+    (1, 2, 3, 4, 5, 6): (4, 6, [(1, 4, 5, 3), (3, 4, 1, 5), (1, 4, 3, 5)], [(2, 4, 6)]),
+    # a repeated value, in a second run of c = 4; the middle-position sum
+    # is 1, so only the bit set rejects it, as it does the next two
+    (1, 4, 3, 2, 4): (3, 5, _BLOCK_3[0], _BLOCK_3[1] + [(4, 3, 4)]),
+    # a value out of range, 0, from the last left factor
+    (0, 4, 3, 2, 5): (3, 5, _BLOCK_3[0] + [(0, 3, 2)], _BLOCK_3[1]),
+    # a value missing, 5
+    (1, 4, 3, 2): (3, 5, _BLOCK_3[0], _BLOCK_3[1] + [(4, 3)]),
+    # a 0 after a larger value, whose term makes the head's sum -1
+    (2, 0, 4, 3, 1, 5): (3, 5, _BLOCK_3[0] + [(2, 0, 3, 1)], _BLOCK_3[1]),
+    # a repeated value from a left factor that has an earlier one's a but
+    # not its head's values, so it cannot reuse their tail sums
+    (1, 4, 3, 1, 5): (3, 5, _BLOCK_3[0] + [(1, 3, 1)], _BLOCK_3[1]),
+}
+
+
+@pytest.mark.parametrize("t", list(_REJECTED_IN))
 def test_noonan_tuple_check_rejects(t):
-    with pytest.raises(InternalConstraintViolation):
-        _check_one_321(t, [1, 2, 3, 4])
+    b, n, lefts, rights = _REJECTED_IN[t]
+    assert len(lefts) >= 3
+    by_hand = list(splice_by_hand(b, lefts, rights))
+    passed = by_hand[: by_hand.index(t)]
+    assert all(is_one_321(p, n) for p in passed) and not is_one_321(t, n)
+    yielded = []
+    text = " ".join(map(str, t))
+    with pytest.raises(InternalConstraintViolation, match=f"^generated {text} is not a one-321"):
+        for item in _splice(b, n, lefts, rights):
+            yielded.append(item)
+    assert yielded == passed
 
 
-def test_every_noonan_tuple_goes_through_the_check(monkeypatch):
-    checked = []
-    monkeypatch.setattr(bijection, "_check_one_321", lambda t, values: checked.append((t, values)))
-    streamed = [p.values for p in enumerate_noonan(7)]
-    assert checked == [(t, [1, 2, 3, 4, 5, 6, 7]) for t in streamed]
+def shuffled_factors(naive_noonan_set, n, b, seed):
+    """Block b's factors, taken from the one-321 permutations, in a seeded order."""
+    found = [decompose(p) for p in naive_noonan_set(n)]
+    lefts = sorted({d.sigma1.values for d in found if d.b == b})
+    rights = sorted({d.sigma2.values for d in found if d.b == b})
+    rng = random.Random(seed)
+    rng.shuffle(lefts)
+    rng.shuffle(rights)
+    return lefts, rights
+
+
+def test_noonan_tuple_check_accepts_every_one_321_permutation(naive_noonan_set):
+    # Shuffled factors: several runs of each c, and keys met in any order.
+    # Block 2 takes the one-left path, every other block the kept one.
+    for n in range(3, 8):
+        for b in range(2, n):
+            lefts, rights = shuffled_factors(naive_noonan_set, n, b, seed=n * b)
+            assert len(lefts) == catalan(b) - catalan(b - 1)
+            assert list(_splice(b, n, lefts, rights)) == list(splice_by_hand(b, lefts, rights))
+
+
+def test_every_noonan_tuple_goes_through_the_check(monkeypatch, naive_noonan_set):
+    # Each item is its head p1 c p2 b, passed from the start, then its tail
+    # p3 a p4, passed from the head's bit set; an item of a block with
+    # several left factors may reuse the tail sum an earlier one passed. A
+    # head's bit set is that of 1..b less a plus c, so each right factor's
+    # tail is passed once for each distinct a.
+    passed = []
+    real = bijection._pass_321
+
+    def record(values, j=0, mask=0):
+        passed.append((tuple(values), j, mask))
+        return real(values, j, mask)
+
+    monkeypatch.setattr(bijection, "_pass_321", record)
+    n = 7
+    for b in (2, 3, 5):
+        lefts, rights = shuffled_factors(naive_noonan_set, n, b, seed=b)
+        passed.clear()
+        items = list(_splice(b, n, lefts, rights))
+        assert items == list(splice_by_hand(b, lefts, rights))
+        seen = set(passed)
+        for t in items:
+            h = t.index(b) + 1
+            assert (t[:h], 0, 0) in seen
+            assert (t[h:], h, sum(1 << v for v in t[:h])) in seen
+        tails = sum(j > 0 for _, j, _ in passed)
+        assert tails == len({s1[-1] for s1 in lefts}) * len(rights)
 
 
 def test_noonan_stream_ascends_in_b_and_is_lexicographic_within_each_block():
@@ -362,6 +445,20 @@ def test_block_2_keeps_no_right_factor():
     assert peak < 512 * 1024
 
 
+def test_block_3_keeps_its_right_factors_and_tail_sums_under_1_5_mb():
+    # Block 3 keeps the most right factors, 11,934 at n = 12, for its three
+    # left factors, and beside them a byte of tail sum per factor for each
+    # of its two values of a: about 1.3 MB in all.
+    deque(_noonan_for_b(3, 10), 0)  # builds the completion tables
+    tracemalloc.start()
+    try:
+        deque(_noonan_for_b(3, 12), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1024 * 1024
+
+
 # Each fault replaces one call of avoiders._avoiders, the walk behind both
 # factors: a left factor walk has no `first`, a right factor walk has one.
 
@@ -390,9 +487,36 @@ def _right_out_of_range(real, lo, hi, first, max_last):
     return items if first is None else ((hi + 1, *t[1:]) for t in items)
 
 
+def _left_with_a_negative_value(real, lo, hi, first, max_last):
+    # 1 becomes -1; it stands in the head or is a, by the left factor
+    items = real(lo, hi, first, max_last=max_last)
+    return items if first is not None else (tuple(-v if v == 1 else v for v in t) for t in items)
+
+
+def _last_left_ends_with_b(real, lo, hi, first, max_last):
+    items = list(real(lo, hi, first, max_last=max_last))
+    return items if first is not None else items[:-1] + [tuple(range(lo, hi + 1))]
+
+
+def _last_left_has_a_321(real, lo, hi, first, max_last):
+    # hi..1 ends with 1, as earlier left factors of its block do, and its
+    # head holds the same values as theirs, so it reuses their tail sums.
+    items = list(real(lo, hi, first, max_last=max_last))
+    return items if first is not None else items[:-1] + [tuple(range(hi, lo - 1, -1))]
+
+
 @pytest.mark.parametrize(
     "fault",
-    [_left_ends_with_b, _right_with_a_321, _right_starts_with_b, _left_without_b, _right_out_of_range],
+    [
+        _left_ends_with_b,
+        _right_with_a_321,
+        _right_starts_with_b,
+        _left_without_b,
+        _right_out_of_range,
+        _left_with_a_negative_value,
+        _last_left_ends_with_b,
+        _last_left_has_a_321,
+    ],
 )
 def test_every_factor_fault_fails_the_item_check(monkeypatch, capsys, fault):
     # The factors are not checked on their own; each fault must still
@@ -412,12 +536,6 @@ def test_every_factor_fault_fails_the_item_check(monkeypatch, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("InternalConstraintViolation: generated ")
     assert err.count("\n") == 1
-
-
-def test_noonan_tuple_check_accepts_every_one_321_permutation(naive_noonan_set):
-    for n in range(3, 8):
-        for p in naive_noonan_set(n):
-            _check_one_321(p.values, list(range(1, n + 1)))
 
 
 # --- text form ----------------------------------------------------------

@@ -43,7 +43,7 @@ def test_count(invoke):
 
 @pytest.mark.parametrize("pattern", [None, "2 1 3"])
 def test_count_matches_the_naive_counter(invoke, pattern):
-    # Pattern 321 is answered by the sorted-prefix counter, others by the generic one.
+    # Pattern 321 is answered by the bit-set counter, others by the generic one.
     rng = random.Random(3000 if pattern is None else 213)
     flag = [] if pattern is None else ["--pattern", pattern]
     values = (3, 2, 1) if pattern is None else (2, 1, 3)
@@ -71,7 +71,7 @@ def test_count_321_is_fast_at_n_3000(fails_after, invoke):
 
 def test_the_longest_perm_arguments_are_answered(fails_after, invoke):
     # One execve argument holds at most 128 KiB, about n = 23,700 values;
-    # decreasing is the worst order for the sorted-prefix insertions.
+    # in decreasing order every triple is a 321.
     n = 23000
     with fails_after(10, f"count of the decreasing permutation at n = {n}"):
         code, out, err = invoke("count", "--perm", " ".join(map(str, range(n, 0, -1))))

@@ -343,6 +343,29 @@ def test_find_unique_matches_triple_scan_on_planted_inputs():
         check_against_triple_scan(values)
 
 
+def middle_terms(values):
+    """Each position's 321 occurrences as the middle, by an O(n^2) scan."""
+    return [
+        sum(x > v for x in values[:j]) * sum(x < v for x in values[j + 1 :])
+        for j, v in enumerate(values)
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 65, 300, 1000])
+def test_the_bit_set_pass_matches_an_independent_count_at_large_n(n):
+    # The bit set of the values seen spans several machine words here.
+    rng = random.Random(n)
+    for values in (rng.sample(range(1, n + 1), n), list(range(n, 0, -1))):
+        total = sum(middle_terms(values))
+        assert count_321(Permutation(values)) == total > 1
+        with pytest.raises(MultipleOccurrences):
+            find_unique_321(Permutation(values))
+    values = planted_one_321(rng, n)
+    terms = middle_terms(values)
+    assert sum(terms) == 1 and count_321(Permutation(values)) == 1
+    assert find_unique_321(Permutation(values)).positions[1] == terms.index(1) + 1
+
+
 def test_find_unique_is_fast_on_a_large_one_321_input():
     # Both factors are two decreasing blocks: about n^2/8 inversions, on
     # which the former triple scan took about 15 s on a 2-vCPU Xeon VM.

@@ -18,11 +18,7 @@ pass gives both the 321 count and the position of b. compose() and the
 enumeration run the one splice, _splice(b, n, lefts, rights): compose()
 on its one pair, the enumeration on every pair of block b, b by b, in
 one process. The splice cuts each factor once at b, into (p1, p2, a) and
-(c, p3, p4). It keeps the cut right factors only when a second left
-factor will replay them: block 2 has one left factor, 2 1, and compose()
-one pair, so each of their right factors is spliced as the walk yields
-it and dropped, and a splice with no left factor walks no right factor.
-The splice checks no factor; every item is a plain tuple, checked
+(c, p3, p4), and checks no factor; every item is a plain tuple, checked
 on its own by the same pass to hold exactly 1..n with a middle-position
 321 sum of exactly 1. That check covers the factors too. The item's
 values p1 c p2 a stand in sigma1's order, since c takes b's place and is
@@ -34,22 +30,19 @@ out of range leaves 1..n, and a factor without b cannot be split.
 The CLI prints the tuples and, at the end of the stream, checks that
 their number is the closed-form count.
 
-The pass over an item is cut at b into two parts whose sums add up. The
-head p1 c p2 b is passed once per left factor and run of equal c. The
-tail p3 a p4 resumes from the head's bit set and length, which is all
-it reads of the head: a term needs only its position and how many
-values before it are smaller. So a block that keeps its right factors
-passes the tails of one key (head bit set, head length, a) once, for
-the first left factor with that key, and keeps their sums beside the
-run for every later one; each item still adds its own head's sum. The
-key holds every input of the tail's pass, so each item gets the verdict
-of a full pass over it. Each part's sum is capped at 2, and is 2
-outright unless the values so far are distinct and within 1..n; where
-they are, no term is negative, so the parts add up to 1 exactly when the
-item is a permutation of 1..n with one 321. For valid factors the
-head's bit set is that of 1..b less a plus c, so a block passes each
-tail once per value of a rather than once per left factor. The one-left
-path keeps no sum.
+The pass over an item is cut at b into two parts whose sums add up: the
+head p1 c p2 b, passed once per left factor and run of equal c, and the
+tail p3 a p4, resumed from the head's bit set and length, which is all
+it reads of the head. The first left factor splices each right factor
+as the walk yields it; when a second one will replay them, it also keeps
+them, with their tail sums under the key (head bit set, head length, a).
+A later left factor reuses the sums of a known key and passes the tails
+of a new one once. For valid factors the head's bit set is that of 1..b
+less a plus c, so a block passes each tail once per value of a. Each
+part's share is its sum clamped to 0..2, and the tail's is 2 unless the
+item's n values have the bit set of 1..n. Such an item is a permutation,
+with no negative term, so its shares add up to 1 exactly when it has one
+321; any other item's add up to at least 2.
 
 The count of those items (CLI `noonan --method bijection`) can split:
 b = 2..n-1 is cut into ranges of equally many blocks (split.ranges),
@@ -175,47 +168,43 @@ def _splice(
     if first is None:
         return
     second = next(lefts, None)
-    runs = groupby((_cut_right(s2, b) for s2 in rights), itemgetter(0))
-    full = (1 << (n + 1)) - 2  # the bit set of 1..n
-    if second is None:
-        # One left factor (block 2, and compose's one pair) replays nothing:
-        # each right factor is spliced as the walk yields it, and neither it
-        # nor its tail sum is kept.
-        p1, p2, a = _cut_left(first, b)
-        for c, run in runs:
-            head = (*p1, c, *p2, b)
-            h = len(head)
-            mask, head_sum = _part_321(head, 0, 0, full)
-            for _, p3, p4 in run:
-                tail = p3 + (a,) + p4
-                t = head + tail
-                if head_sum + _tail_sum(tail, h, mask, full) != 1:
-                    raise _not_one_321(t)
-                yield t
-        return
-    # A second left factor replays every right, so the rights are kept, as
-    # two columns per run of equal c, which take less memory than a tuple
-    # per factor; the few distinct p3 pieces are stored once each. Beside
-    # each run, the tail sums of every key seen so far are kept too.
+    # For a second left factor to replay them, each run of equal c keeps its
+    # right factors as two columns, smaller than a tuple per factor (the few
+    # distinct p3 pieces stored once each), and the tail sums of each key.
     kept, shared = [], {}
-    for c, run in runs:
-        p3s, p4s = [], []
+    p1, p2, a = _cut_left(first, b)
+    for c, run in groupby((_cut_right(s2, b) for s2 in rights), itemgetter(0)):
+        head = (*p1, c, *p2, b)
+        h = len(head)
+        mask, head_sum = _part_321(head, 0, 0)
+        if second is not None:
+            p3s, p4s, sums = [], [], bytearray()
+            kept.append((c, p3s, p4s, {(mask, h, a): sums}))
         for _, p3, p4 in run:
-            p3s.append(shared.setdefault(p3, p3))
-            p4s.append(p4)
-        kept.append((c, p3s, p4s, {}))
-    for s1 in chain((first, second), lefts):
+            tail = p3 + (a,) + p4
+            tail_sum = _tail_sum(tail, h, mask, n)
+            t = head + tail
+            if head_sum + tail_sum != 1:
+                raise _not_one_321(t)
+            if second is not None:
+                p3s.append(shared.setdefault(p3, p3))
+                p4s.append(p4)
+                sums.append(tail_sum)
+            yield t
+    if second is None:
+        return
+    for s1 in chain((second,), lefts):
         p1, p2, a = _cut_left(s1, b)
         for c, p3s, p4s, sums_by_key in kept:
             head = (*p1, c, *p2, b)
             h = len(head)
-            mask, head_sum = _part_321(head, 0, 0, full)
+            mask, head_sum = _part_321(head, 0, 0)
             # The tail p3 a p4 reads only the head's bit set and length,
             # a and the right factor: every input of its sum is in the key.
             sums = sums_by_key.get((mask, h, a))
             if sums is None:
                 sums = sums_by_key[mask, h, a] = bytes(
-                    [_tail_sum(p3 + (a,) + p4, h, mask, full) for p3, p4 in zip(p3s, p4s)]
+                    [_tail_sum(p3 + (a,) + p4, h, mask, n) for p3, p4 in zip(p3s, p4s)]
                 )
             for p3, p4, tail_sum in zip(p3s, p4s, sums):
                 t = (*head, *p3, a, *p4)
@@ -224,28 +213,24 @@ def _splice(
                 yield t
 
 
-def _part_321(values: tuple[int, ...], j: int, mask: int, full: int) -> tuple[int, int]:
+def _part_321(values: tuple[int, ...], j: int, mask: int) -> tuple[int, int]:
     """The one-321 pass over values, resumed after j values with bit set mask.
 
     Returns the bit set and the values' share of the middle-position sum,
-    capped at 2, the least sum above 1. The share is 2 also unless the
-    j + len(values) values so far are distinct and within 1..n, the bits
-    of `full`; where they are, no term is negative, so two shares add up
-    to 1 exactly when the whole sum is 1.
+    clamped to 0..2, 2 being the least sum above 1. A negative value has
+    no bit, and its share is 2.
     """
     try:
         bits, total, _ = _pass_321(values, j, mask)
-    except ValueError:  # a negative value has no bit
+    except ValueError:
         return mask, 2
-    if bits & ~full or bits.bit_count() != j + len(values):
-        return bits, 2
-    return bits, min(total, 2)
+    return bits, 0 if total < 0 else total if total < 2 else 2
 
 
-def _tail_sum(tail: tuple[int, ...], j: int, mask: int, full: int) -> int:
-    """The tail's share of its item's sum: 2 unless the item holds exactly 1..n."""
-    bits, total = _part_321(tail, j, mask, full)
-    return total if bits == full else 2
+def _tail_sum(tail: tuple[int, ...], j: int, mask: int, n: int) -> int:
+    """The tail's share of its item's sum: 2 unless the item's n values hold exactly 1..n."""
+    bits, total = _part_321(tail, j, mask)
+    return total if j + len(tail) == n and bits == (2 << n) - 2 else 2
 
 
 def _not_one_321(t: tuple[int, ...]) -> InternalConstraintViolation:

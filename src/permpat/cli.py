@@ -19,6 +19,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 from .catalan import (
+    TABLE_CAP,
     _noonan_closed_stream,
     binomial,
     catalan,
@@ -144,14 +145,18 @@ def _cmd_noonan(args: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
-    if args.max_n > _VERIFY_CAP:
-        raise CapExceeded(
-            f"verify --max-n {args.max_n} is above the cap {_VERIFY_CAP}: its per-n "
-            f"convolutions grow about as N^3 (2-3 s at N = {_VERIFY_CAP})"
-        )
+def _check_max_n(args: SimpleNamespace, cap: int, why: str) -> None:
+    """Refuse --max-n above cap (CapExceeded, saying why) or below 0 (InvalidRange)."""
+    if args.max_n > cap:
+        raise CapExceeded(f"{args.command} --max-n {args.max_n} is above the cap {cap}: {why}")
     if args.max_n < 0:
-        raise InvalidRange(f"verify requires max_n >= 0, got {args.max_n}")
+        raise InvalidRange(f"{args.command} requires max_n >= 0, got {args.max_n}")
+
+
+def _cmd_verify(args: SimpleNamespace) -> int:
+    _check_max_n(
+        args, _VERIFY_CAP, f"its per-n convolutions grow about as N^3 (2-3 s at N = {_VERIFY_CAP})"
+    )
     failures = 0
     lines = []
     # The closed form comes from the ratio walk of `seq --what noonan`, not
@@ -173,10 +178,12 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
     from .avoiders import _avoider_tuples, _sigma1_tuples, _sigma2_tuples
 
     family = args.family
-    if family in ("avoiders", "sigma2", "noonan") and args.n is None:
-        raise UsageError(f"--n is required for --family {family}")
-    if family in ("sigma1", "sigma2") and args.b is None:
-        raise UsageError(f"--b is required for --family {family}")
+    # Each family takes exactly the flags it reads.
+    reads = {"avoiders": ("n",), "sigma1": ("b",), "sigma2": ("n", "b"), "noonan": ("n",)}[family]
+    for flag, value in (("n", args.n), ("b", args.b)):
+        if (flag in reads) != (value is not None):
+            need = "is required for" if flag in reads else "is not read by"
+            raise UsageError(f"--{flag} {need} --family {family}")
     n, b, cap = args.n, args.b, args.cap
     if family == "avoiders":
         stream, top, expected = _avoider_tuples(n, cap), n, catalan(n)
@@ -215,11 +222,12 @@ def _cmd_oracle(args: SimpleNamespace) -> int:
 
 
 def _cmd_seq(args: SimpleNamespace) -> int:
+    # Printing N numbers of up to about 0.6 N digits costs about N^3, as
+    # building the Catalan table does, so both tables share its cap.
+    _check_max_n(args, TABLE_CAP, "either table's cost grows about as N^3")
     if args.what == "catalan":
         rows = enumerate(catalan_table(args.max_n))
     else:
-        if args.max_n < 0:
-            raise InvalidRange(f"seq requires max_n >= 0, got {args.max_n}")
         rows = enumerate(_noonan_closed_stream(args.max_n), 1)
     _write_lines((f"{n} {value}" for n, value in rows), _TABLE_BATCH)
     return 0

@@ -357,7 +357,8 @@ def shuffled_factors(naive_noonan_set, n, b, seed):
 
 def test_noonan_tuple_check_accepts_every_one_321_permutation(naive_noonan_set):
     # Shuffled factors: several runs of each c, and keys met in any order.
-    # Block 2 takes the one-left path, every other block the kept one.
+    # Block 2 has one left factor and runs only the first pass; every other
+    # block also replays the right factors that pass keeps.
     for n in range(3, 8):
         for b in range(2, n):
             lefts, rights = shuffled_factors(naive_noonan_set, n, b, seed=n * b)
@@ -425,16 +426,16 @@ def test_splice_without_a_left_factor_walks_no_right_factor():
     ],
 )
 def test_one_left_and_several_left_blocks_keep_their_bytes(b, lefts, sha256):
-    # Block b at n = 9 as printed lines: block 2 takes the one-left path of
-    # the splice, block 5 the path that keeps the right factors.
+    # Block b at n = 9 as printed lines: block 2 has one left factor, so the
+    # splice keeps nothing; block 5 keeps its right factors for 27 replays.
     assert catalan(b) - catalan(b - 1) == lefts
     text = "".join(" ".join(map(str, t)) + "\n" for t in _noonan_for_b(b, 9))
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_block_2_keeps_no_right_factor():
-    # Its one left factor, 2 1, meets each right factor once, so none is
-    # kept; keeping its 41,990 right factors at n = 12 peaks at 5.4 MB.
+    # Its one left factor, 2 1, has no second to replay the right factors
+    # for, so none is kept; keeping its 41,990 at n = 12 peaks at 5.4 MB.
     deque(_noonan_for_b(2, 10), 0)  # builds the completion tables
     tracemalloc.start()
     try:
@@ -505,6 +506,13 @@ def _last_left_has_a_321(real, lo, hi, first, max_last):
     return items if first is not None else items[:-1] + [tuple(range(hi, lo - 1, -1))]
 
 
+def _right_repeats_its_last_value(real, lo, hi, first, max_last):
+    # n + 1 values holding all of 1..n; the repeat's middle term is 0, so
+    # the item's 321 sum stays 1 and only its length rejects it.
+    items = real(lo, hi, first, max_last=max_last)
+    return items if first is None else ((*t, t[-1]) for t in items)
+
+
 @pytest.mark.parametrize(
     "fault",
     [
@@ -516,6 +524,7 @@ def _last_left_has_a_321(real, lo, hi, first, max_last):
         _left_with_a_negative_value,
         _last_left_ends_with_b,
         _last_left_has_a_321,
+        _right_repeats_its_last_value,
     ],
 )
 def test_every_factor_fault_fails_the_item_check(monkeypatch, capsys, fault):

@@ -169,7 +169,11 @@ def test_commands_load_only_the_modules_they_need(argv, loaded):
 def test_table_routes_fail_fast_past_their_caps(fails_after, invoke):
     # Without the caps each would run for about a minute; the alarm turns a
     # missing cap into a failure instead of a stuck run.
-    for argv in (("seq", "--what", "catalan", "--max-n", "10000"), ("verify", "--max-n", "5000")):
+    for argv in (
+        ("seq", "--what", "catalan", "--max-n", "10000"),
+        ("seq", "--what", "noonan", "--max-n", "10000"),
+        ("verify", "--max-n", "5000"),
+    ):
         with fails_after(2, " ".join(argv)):
             code, out, err = invoke(*argv)
         assert (code, out) == (1, "")
@@ -529,6 +533,9 @@ def test_usage_errors_exit_2(invoke):
     assert invoke("noonan", "--n", "four")[0] == 2
     assert invoke("enumerate", "--family", "sigma1")[0] == 2  # --b missing
     assert invoke("enumerate", "--family", "avoiders")[0] == 2  # --n missing
+    code, _, err = invoke("enumerate", "--family", "sigma1", "--b", "3", "--n", "5")
+    assert code == 2 and err == "usage error: --n is not read by --family sigma1\n"
+    assert invoke("enumerate", "--family", "noonan", "--n", "5", "--b", "3")[0] == 2
     assert invoke("oracle", "--n", "4", "--threads", "0")[0] == 2
 
 

@@ -41,7 +41,7 @@ from functools import cache
 from itertools import chain
 from operator import itemgetter
 
-from .errors import CapExceeded, InternalConstraintViolation, InvalidRange
+from .errors import InternalConstraintViolation, InvalidRange, check_size
 from .perms import DEFAULT_CAP, Permutation, ValueSequence
 
 # The last _TAIL positions of every avoider are read off the completion table.
@@ -109,16 +109,6 @@ def _avoiders(
     return _walk(head, s, unused, min(_TAIL, len(unused)), None if max_last else hi)
 
 
-def _check_cap(m: int, cap: int | None, what: str) -> None:
-    """Refuse a negative length, or one above the cap; no cap means DEFAULT_CAP."""
-    if cap is None:
-        cap = DEFAULT_CAP
-    if m < 0:
-        raise InvalidRange(f"{what} requires a nonnegative length, got {m}")
-    if m > cap:
-        raise CapExceeded(f"{what} of length {m} exceeds the cap {cap}")
-
-
 def _checked(tuples: Iterator[tuple[int, ...]], lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     """Pass the tuples through, each checked to hold exactly the values lo..hi."""
     values = list(range(lo, hi + 1))
@@ -129,21 +119,21 @@ def _checked(tuples: Iterator[tuple[int, ...]], lo: int, hi: int) -> Iterator[tu
 
 
 def _avoider_tuples(n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
-    _check_cap(n, cap, "avoider generation")
+    check_size("avoider generation", "n", n, cap=cap)
     return _checked(_avoiders(1, n), 1, n)
 
 
 def _sigma1_tuples(b: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     if b < 2:
         raise InvalidRange(f"the middle value b must be at least 2, got {b}")
-    _check_cap(b, cap, "left-factor generation")
+    check_size("left-factor generation", "b", b, cap=cap)
     return _checked(_avoiders(1, b, max_last=False), 1, b)
 
 
 def _sigma2_tuples(b: int, n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     if not 2 <= b <= n - 1:
         raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
-    _check_cap(n - b + 1, cap, "right-factor generation")
+    check_size("right-factor generation", "n - b + 1", n - b + 1, cap=cap)
     return _checked(_right_factors(b, n), b, n)
 
 

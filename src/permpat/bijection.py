@@ -58,7 +58,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .errors import ConstraintViolation, InternalConstraintViolation
+from .errors import ConstraintViolation, InternalConstraintViolation, check_size
 from .perms import (
     DEFAULT_CAP,
     Permutation,
@@ -266,18 +266,16 @@ def _index(factor: tuple[int, ...], b: int) -> int:
 
 def _noonan_tuples(n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     """The checked tuples of enumerate_noonan, in ascending b; the cap is checked first."""
-    from .avoiders import _check_cap
-
-    _check_cap(n, cap, "enumeration")
+    check_size("one-321 enumeration", "n", n, cap=cap)
     return chain.from_iterable(_noonan_for_b(b, n) for b in range(2, n))
 
 
 def _count_noonan(n: int, cap: int | None, threads: int) -> int:
     """The number of tuples _noonan_tuples(n, cap) yields, split over b ranges."""
-    from .avoiders import _check_cap
+    # Checked before split loads, so a refused count loads nothing more.
+    check_size("bijection count", "n", n, cap=cap)
     from .split import forked_sum, ranges
 
-    _check_cap(n, cap, "enumeration")
     return forked_sum(
         lambda bs: sum(1 for b in bs for _ in _noonan_for_b(b, n)),
         ranges(range(2, n), threads),

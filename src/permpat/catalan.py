@@ -32,7 +32,7 @@ from _thread import allocate_lock
 from collections.abc import Iterator
 from itertools import accumulate
 
-from .errors import CapExceeded, InvalidRange, NonIntegerResult
+from .errors import NonIntegerResult, check_size
 
 # The largest n the Catalan table is built to; C_0..C_5000 take about 4 s
 # cold on a 2-core Xeon VM, and the cost grows about as N^3.
@@ -47,8 +47,7 @@ def binomial(n: int, k: int) -> int:
     >>> binomial(4, 5)
     0
     """
-    if n < 0:
-        raise InvalidRange(f"binomial requires n >= 0, got {n}")
+    check_size("binomial", "n", n)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -60,8 +59,7 @@ def catalan(n: int) -> int:
     >>> [catalan(n) for n in range(7)]
     [1, 1, 2, 5, 14, 42, 132]
     """
-    if n < 0:
-        raise InvalidRange(f"catalan requires n >= 0, got {n}")
+    check_size("catalan", "n", n)
     q, r = divmod(math.comb(2 * n, n), n + 1)
     if r:
         raise NonIntegerResult(f"binom(2n, n) not divisible by n+1 at n={n}")
@@ -95,11 +93,7 @@ def _extend(max_n: int) -> list[int]:
     global _row
     table = _table
     if len(table) <= max_n:
-        if max_n > TABLE_CAP:
-            raise CapExceeded(
-                f"the Catalan table stops at C_{TABLE_CAP}; C_{max_n} was asked for "
-                f"(its cost grows about as N^3)"
-            )
+        check_size("the Catalan table", "N", max_n, cap=TABLE_CAP, why="it grows about as N^3")
         with _table_lock:
             while len(table) <= max_n:
                 _row = list(accumulate(_row + [0]))
@@ -119,8 +113,7 @@ def catalan_table(max_n: int) -> tuple[int, ...]:
     >>> catalan_table(5)
     (1, 1, 2, 5, 14, 42)
     """
-    if max_n < 0:
-        raise InvalidRange(f"catalan_table requires max_n >= 0, got {max_n}")
+    check_size("catalan_table", "max_n", max_n)
     return tuple(_extend(max_n)[: max_n + 1])
 
 
@@ -132,8 +125,7 @@ def noonan_closed(n: int) -> int:
     >>> [noonan_closed(n) for n in range(1, 8)]
     [0, 0, 1, 6, 27, 110, 429]
     """
-    if n < 1:
-        raise InvalidRange(f"noonan_closed requires n >= 1, got {n}")
+    check_size("noonan_closed", "n", n, 1)
     q, r = divmod(3 * binomial(2 * n, n + 3), n)
     if r:
         raise NonIntegerResult(f"3*binom(2n, n+3) not divisible by n at n={n}")
@@ -168,8 +160,7 @@ def noonan_catalan_form(n: int) -> int:
     Evaluated from the ballot-triangle table, so it is an independent route
     from noonan_closed.
     """
-    if n < 1:
-        raise InvalidRange(f"noonan_catalan_form requires n >= 1, got {n}")
+    check_size("noonan_catalan_form", "n", n, 1)
     t = _extend(n + 2)
     return t[n + 2] - 4 * t[n + 1] + 3 * t[n]
 
@@ -182,8 +173,7 @@ def noonan_convolution(n: int) -> int:
     the table, grown here to entry n-1 first. Terms b and n+1-b are equal,
     so it is taken as a half-sum. The sum is empty (hence 0) for n < 3.
     """
-    if n < 1:
-        raise InvalidRange(f"noonan_convolution requires n >= 1, got {n}")
+    check_size("noonan_convolution", "n", n, 1)
     table = _extend(n - 1)
     if len(_diff) < n:
         with _table_lock:

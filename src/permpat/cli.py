@@ -28,7 +28,7 @@ from .catalan import (
     noonan_closed,
     noonan_convolution,
 )
-from .errors import CapExceeded, DomainError, InternalConstraintViolation, InvalidRange
+from .errors import DomainError, InternalConstraintViolation, check_size
 
 # `catalan` and `errors` load with the package. Each CLI call is a fresh
 # process, so every other module is imported by the handlers that need it:
@@ -51,6 +51,10 @@ _COUNT_WORK_CAP = 10**8
 # with Python 3.11.7 (1.8-3.3 s over fresh processes), most of it in the
 # per-n convolutions, whose cost grows about as N^3.
 _VERIFY_CAP = 2000
+# `noonan --n` (the closed form) refuses larger n unless --cap lifts it: at
+# the cap math.comb(2n, n+3) takes about 0.6 s on a 2-core Xeon VM with
+# Python 3.11.7, at twice the cap 2 s, and at 10^6 about 50 s.
+_CLOSED_CAP = 100_000
 
 
 class UsageError(Exception):
@@ -78,12 +82,9 @@ def _cmd_count(args: SimpleNamespace) -> int:
         print(count_321(perm))
         return 0
     n, m = len(perm), len(pattern)
-    if binomial(n, m) > _COUNT_WORK_CAP:
-        raise CapExceeded(
-            f"a pattern of length {m} in a permutation of length {n} can take up to "
-            f"binom({n}, {m}) steps, more than the cap {_COUNT_WORK_CAP}; only the "
-            f"pattern 3 2 1 has a fast counter"
-        )
+    what = f"a pattern of length {m} in a permutation of length {n}"
+    why = "the generic counter can take that many steps; only 3 2 1 has a fast counter"
+    check_size(what, f"binom({n}, {m})", binomial(n, m), cap=_COUNT_WORK_CAP, why=why)
     print(count_pattern(perm, pattern))
     return 0
 
@@ -124,12 +125,18 @@ def _print_stream(tuples: Iterable[tuple[int, ...]], top: int, expected: int, pr
         raise InternalConstraintViolation(f"stream emitted {emitted} items, expected {expected}")
 
 
+def _cap(args: SimpleNamespace, default: int) -> int:
+    """The --cap given, or else the command's default cap."""
+    return default if args.cap is None else args.cap
+
+
 def _cmd_noonan(args: SimpleNamespace) -> int:
     # Checked once for every method: the formulas would refuse n = 0 on their
     # own, but the oracle and the bijection count would print 0.
-    if args.n < 1:
-        raise InvalidRange(f"noonan requires n >= 1, got {args.n}")
+    check_size("noonan", "--n", args.n, 1)
     if args.method == "closed":
+        why = "binom(2n, n+3) takes about 0.6 s at n = 10^5 and 50 s at 10^6; --cap lifts the cap"
+        check_size("the closed form", "--n", args.n, cap=_cap(args, _CLOSED_CAP), why=why)
         value = noonan_closed(args.n)
     elif args.method == "catalan":
         value = noonan_catalan_form(args.n)
@@ -139,24 +146,16 @@ def _cmd_noonan(args: SimpleNamespace) -> int:
         value = _oracle_count(args, 1)
     else:
         from .bijection import _count_noonan
+        from .perms import DEFAULT_CAP
 
-        value = _count_noonan(args.n, args.cap, args.threads)
+        value = _count_noonan(args.n, _cap(args, DEFAULT_CAP), args.threads)
     print(value)
     return 0
 
 
-def _check_max_n(args: SimpleNamespace, cap: int, why: str) -> None:
-    """Refuse --max-n above cap (CapExceeded, saying why) or below 0 (InvalidRange)."""
-    if args.max_n > cap:
-        raise CapExceeded(f"{args.command} --max-n {args.max_n} is above the cap {cap}: {why}")
-    if args.max_n < 0:
-        raise InvalidRange(f"{args.command} requires max_n >= 0, got {args.max_n}")
-
-
 def _cmd_verify(args: SimpleNamespace) -> int:
-    _check_max_n(
-        args, _VERIFY_CAP, f"its per-n convolutions grow about as N^3 (2-3 s at N = {_VERIFY_CAP})"
-    )
+    why = f"its per-n convolutions grow about as N^3 (2-3 s at N = {_VERIFY_CAP})"
+    check_size("verify", "--max-n", args.max_n, cap=_VERIFY_CAP, why=why)
     failures = 0
     lines = []
     # The closed form comes from the ratio walk of `seq --what noonan`, not
@@ -176,6 +175,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 def _cmd_enumerate(args: SimpleNamespace) -> int:
     from .avoiders import _avoider_tuples, _sigma1_tuples, _sigma2_tuples
+    from .perms import DEFAULT_CAP
 
     family = args.family
     # Each family takes exactly the flags it reads.
@@ -184,7 +184,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
         if (flag in reads) != (value is not None):
             need = "is required for" if flag in reads else "is not read by"
             raise UsageError(f"--{flag} {need} --family {family}")
-    n, b, cap = args.n, args.b, args.cap
+    n, b, cap = args.n, args.b, _cap(args, DEFAULT_CAP)
     if family == "avoiders":
         stream, top, expected = _avoider_tuples(n, cap), n, catalan(n)
     elif family == "sigma1":
@@ -224,7 +224,8 @@ def _cmd_oracle(args: SimpleNamespace) -> int:
 def _cmd_seq(args: SimpleNamespace) -> int:
     # Printing N numbers of up to about 0.6 N digits costs about N^3, as
     # building the Catalan table does, so both tables share its cap.
-    _check_max_n(args, TABLE_CAP, "either table's cost grows about as N^3")
+    why = "either table's cost grows about as N^3"
+    check_size("seq", "--max-n", args.max_n, cap=TABLE_CAP, why=why)
     if args.what == "catalan":
         rows = enumerate(catalan_table(args.max_n))
     else:
@@ -246,7 +247,7 @@ _WORK_FLAGS = {
         "processes for the bijection count (noonan --method bijection); "
         "every other command runs in one process; the output never depends on it",
     ),
-    "--cap": (int, None, "override the size cap; the oracle then has no state budget"),
+    "--cap": (int, None, "set the size cap, also of the closed form; the oracle then has no state budget"),
     "--progress": (None, False, "write progress to stderr"),
 }
 _COMMANDS = {

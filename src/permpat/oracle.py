@@ -26,11 +26,13 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 
-from .errors import CapExceeded, InvalidRange
+from .errors import CapExceeded, check_size
 from .perms import PATTERN_321, Permutation, count_occurrences
 
 # The n cap of the two n! scans, brute_distribution and brute_noonan_set.
 DEFAULT_ORACLE_CAP = 10
+# The advice every refusal of the oracle ends with.
+_LIFT = "raise the cap explicitly if you can afford the runtime"
 # Without an explicit cap, distribution_321 refuses a layer once its live
 # states times the values still unused in each pass this budget: that is
 # the number of children the next layer tries, and its time follows it.
@@ -38,18 +40,6 @@ DEFAULT_ORACLE_CAP = 10
 STATE_BUDGET = 200_000
 # called as progress(done, n) after each layer of the state count
 Progress = Callable[[int, int], None] | None
-
-
-def _check(n: int, cap: int | None, k: int = 0) -> None:
-    if n < 0:
-        raise InvalidRange(f"need n >= 0, got {n}")
-    if cap is not None and n > cap:
-        raise CapExceeded(
-            f"exhaustive count at n = {n} exceeds the cap {cap}; "
-            f"raise the cap explicitly if you can afford the runtime"
-        )
-    if k < 0:
-        raise InvalidRange(f"need k >= 0, got {k}")
 
 
 def _unpack(packed: int, w: int, top: int) -> list[int]:
@@ -60,8 +50,7 @@ def _unpack(packed: int, w: int, top: int) -> list[int]:
 def _over_budget(n: int, upto: int, done: int) -> CapExceeded:
     return CapExceeded(
         f"the 321 state count at n = {n} up to k = {upto} passed its budget of "
-        f"{STATE_BUDGET} live states times unused values at layer {done} of {n}; "
-        f"raise the cap explicitly if you can afford the runtime"
+        f"{STATE_BUDGET} live states times unused values at layer {done} of {n}; {_LIFT}"
     )
 
 
@@ -100,7 +89,8 @@ def distribution_321(
     >>> distribution_321(5, 3)
     [42, 27, 24, 7]
     """
-    _check(n, cap, upto)
+    check_size("exhaustive count", "n", n, cap=cap, why=_LIFT)
+    check_size("exhaustive count", "k", upto)
     if cap is None and n > STATE_BUDGET:
         # the first layer is one state of n unused values
         raise _over_budget(n, upto, 0)
@@ -170,7 +160,8 @@ def brute_distribution(
     """
     from .split import forked_sum, ranges
 
-    _check(n, cap, upto)
+    check_size("exhaustive count", "n", n, cap=cap, why=_LIFT)
+    check_size("exhaustive count", "k", upto)
     top = min(upto, math.comb(n, len(pattern)))
     if n == 0:
         return [int(k == count_occurrences((), pattern.values)) for k in range(top + 1)]
@@ -206,6 +197,6 @@ def brute_count_exactly_k(
 
 def brute_noonan_set(n: int, *, cap: int = DEFAULT_ORACLE_CAP) -> Iterator[Permutation]:
     """All n-permutations containing 321 exactly once, lexicographically."""
-    _check(n, cap)
+    check_size("exhaustive count", "n", n, cap=cap, why=_LIFT)
     perms = itertools.permutations(range(1, n + 1))
     return (Permutation(v) for v in perms if count_occurrences(v, PATTERN_321.values) == 1)

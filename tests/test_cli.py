@@ -121,6 +121,8 @@ _LAZY_MODULES = (
     "permpat.perms",
     "permpat.split",
 )
+# Refused before the count loads split; its diagnostic precedes the list.
+_REFUSED = ("noonan", "--n", "15", "--method", "bijection")
 
 
 @pytest.mark.parametrize(
@@ -143,9 +145,11 @@ _LAZY_MODULES = (
             ["permpat.avoiders", "permpat.bijection", "permpat.perms"],
         ),
         (
+            # The forked children generate the blocks; only they load avoiders.
             ("noonan", "--n", "8", "--method", "bijection", "--threads", "2"),
-            ["permpat.avoiders", "permpat.bijection", "permpat.perms", "permpat.split"],
+            ["permpat.bijection", "permpat.perms", "permpat.split"],
         ),
+        (_REFUSED, ["permpat.bijection", "permpat.perms"]),
     ],
 )
 def test_commands_load_only_the_modules_they_need(argv, loaded):
@@ -162,8 +166,8 @@ def test_commands_load_only_the_modules_they_need(argv, loaded):
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == f"{loaded}\n"
+    refused = "CapExceeded: bijection count at n = 15 exceeds the cap 14\n" if argv == _REFUSED else ""
+    assert (result.returncode, result.stderr) == (int(bool(refused)), f"{refused}{loaded}\n")
 
 
 def test_table_routes_fail_fast_past_their_caps(fails_after, invoke):
@@ -178,6 +182,51 @@ def test_table_routes_fail_fast_past_their_caps(fails_after, invoke):
             code, out, err = invoke(*argv)
         assert (code, out) == (1, "")
         assert err.startswith("CapExceeded: ")
+
+
+def test_every_cap_refuses_in_one_message_form(fails_after, invoke):
+    # One request past each bound, with the value it names and the cap.
+    cases = [
+        (("enumerate", "--family", "avoiders", "--n", "15"), 15, 14),
+        (("enumerate", "--family", "sigma1", "--b", "15"), 15, 14),
+        (("enumerate", "--family", "sigma2", "--b", "2", "--n", "16"), 15, 14),
+        (("enumerate", "--family", "noonan", "--n", "15"), 15, 14),
+        (("noonan", "--n", "15", "--method", "bijection"), 15, 14),
+        (("oracle", "--n", "12", "--cap", "11"), 12, 11),
+        (("noonan", "--n", "4999", "--method", "catalan"), 5001, 5000),  # needs C_{n+2}
+        (("seq", "--what", "catalan", "--max-n", "5001"), 5001, 5000),
+        (("seq", "--what", "noonan", "--max-n", "5001"), 5001, 5000),
+        (("verify", "--max-n", "2001"), 2001, 2000),
+        (("count", "--perm", " ".join(map(str, range(1, 1001))), "--pattern", "1 2 3 4"),
+         math.comb(1000, 4), 10**8),
+        # just past the cap: without one it prints in about a second
+        (("noonan", "--n", "100001"), 100001, 100_000),
+    ]
+    for argv, value, cap in cases:
+        with fails_after(10, " ".join(argv[:4])):
+            code, out, err = invoke(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("CapExceeded: ") and f" = {value} exceeds the cap {cap}" in err, err
+
+
+def test_closed_form_refuses_a_huge_n_at_once():
+    # math.comb is one C call that no alarm cuts into, so the request runs
+    # in a child process that the timeout kills.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-m", "permpat.cli", "noonan", "--n", "10000000"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("CapExceeded: the closed form at --n = 10000000 exceeds the cap 100000")
+
+
+def test_cap_lifts_the_closed_form_cap(invoke, monkeypatch):
+    monkeypatch.setattr(cli, "_CLOSED_CAP", 5)
+    code, out, err = invoke("noonan", "--n", "6")
+    assert (code, out) == (1, "") and "at --n = 6 exceeds the cap 5: " in err
+    assert invoke("noonan", "--n", "6", "--cap", "6") == (0, "110\n", "")
+    assert invoke("noonan", "--n", "5") == (0, "27\n", "")
 
 
 def test_noonan_default_method(invoke):

@@ -8,6 +8,7 @@ import pytest
 @pytest.mark.parametrize(
     "name",
     [
+        "permpat.errors",
         "permpat.perms",
         "permpat.catalan",
         "permpat.avoiders",

@@ -28,17 +28,24 @@ state. The entry, _tails(k, s, ...), is the same walk over the ranks
 first use, never at import, and share one getter per rank pattern: the
 completions of state (k, s) are among those of (k, 0), so all the entries
 of size k hold C_k getters between them.
-Every tuple of the three streams is checked to hold exactly the values of
-its family before it is wrapped or printed. The one-321 enumeration reads
-the unchecked walks, _avoiders and _right_factors, and checks each item it
-builds from them instead.
+
+Every walk checks itself, the avoider, sigma1 and sigma2 streams, the
+one-321 factor walks and the table alike. When _tails builds an entry from
+rank patterns, it checks each getter once: applied to the ranks 0..k-1, it
+must return a rearrangement of them. Each leaf checks its first completion
+in full against the values of its walk (lo..hi, or the ranks) before it
+yields any; the others differ from it only by a checked getter. A fault
+raises InternalConstraintViolation before a wrong tuple is yielded. The
+one-321 enumeration checks each item it builds from the factors again, on
+its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import suppress
 from functools import cache
-from itertools import chain
+from itertools import chain, starmap
 from operator import itemgetter
 
 from .errors import InternalConstraintViolation, InvalidRange, check_size
@@ -56,39 +63,55 @@ def _tails(k: int, s: int, max_last: bool) -> tuple:
     getter maps the sorted unused values to one completion, in lexicographic
     order. Without `max_last`, the completions ending with the largest unused
     value are left out. For k >= 2 the completions are the walk over the
-    ranks 0..k-1, read off as index patterns. Built on first use.
+    ranks 0..k-1, read off as index patterns. Built on first use, and each
+    getter checked once, here, to rearrange the ranks.
     """
     # tuple() reads the one completion of at most one unused value; itemgetter
-    # needs two indices to return a tuple.
+    # needs two indices to return a tuple. An entry of one getter needs no
+    # check of its own: each leaf checks its first completion.
     if k <= 1:
         return (tuple,) if max_last or k == 0 else ()
-    return tuple(map(_getter, _walk((), s, tuple(range(k)), k - 1, None if max_last else k - 1)))
+    ranks = tuple(range(k))
+    getters = tuple(starmap(_getter, _walk((), s, ranks, k - 1, None if max_last else k - 1, [*ranks])))
+    for get in getters:
+        _completions((), (get,), ranks, [*ranks])
+    return getters
 
 
-@cache
-def _getter(pattern: tuple[int, ...]) -> itemgetter:
-    """The one getter of a rank pattern, shared by every table entry that holds it."""
-    return itemgetter(*pattern)
+# The one getter of a rank pattern, shared by every table entry that holds it.
+_getter = cache(itemgetter)
+
+
+def _completions(prefix: tuple[int, ...], getters: tuple, unused: tuple[int, ...], values: list[int]) -> list:
+    """prefix + get(unused) for each getter, the first checked to hold exactly `values`."""
+    # A getter that reads past the unused values, or returns no tuple, fails too.
+    with suppress(IndexError, TypeError):
+        items = [prefix + get(unused) for get in getters]
+        if not items or sorted(items[0]) == values:
+            return items
+    raise InternalConstraintViolation(f"completing {prefix} by {unused} does not give exactly {values}")
 
 
 def _walk(
-    prefix: tuple[int, ...], s: int, unused: tuple[int, ...], k: int, top: int | None
+    prefix: tuple[int, ...], s: int, unused: tuple[int, ...], k: int, top: int | None, values: list[int]
 ) -> Iterator[tuple[int, ...]]:
     """Every 321-avoiding completion of the prefix by the sorted unused values.
 
     s of the unused values lie below the prefix maximum. The walk steps down
     to the prefixes that leave k values unused and reads their completions
     off the table, in lexicographic order. With `top` given, the completions
-    ending with that value are left out.
+    ending with that value are left out. Each leaf checks that its
+    completions hold exactly `values`.
     """
     # Depth first, children pushed in reverse so that they pop in increasing
     # order. Rank 0 is the smallest unused value; a rank r >= max(s, 1) is a
     # value above the prefix maximum and becomes the new maximum with r below it.
+    # A faulty step that skips past k unused values still meets a leaf's check.
     stack = [(prefix, s, unused)]
     while stack:
         prefix, s, unused = stack.pop()
-        if len(unused) == k:
-            yield from [prefix + get(unused) for get in _tails(k, s, top not in unused)]
+        if len(unused) <= k:
+            yield from _completions(prefix, _tails(k, s, top not in unused), unused, values)
             continue
         for r in reversed((0, *range(max(s, 1), len(unused)))):
             stack.append((prefix + (unused[r],), r or max(s - 1, 0), unused[:r] + unused[r + 1 :]))
@@ -100,45 +123,32 @@ def _avoiders(
     """All 321-avoiding arrangements of the values lo..hi, lexicographically.
 
     With `first` given, only those starting with that value. With
-    `max_last` false, only those not ending with hi.
+    `max_last` false, only those not ending with hi. Every leaf of the walk
+    checks its items to hold exactly lo..hi.
     """
-    head = () if first is None else (first,)
+    # The first value leaves first - lo unused values below it. The values the
+    # leaves check against are built apart from the values the walk places.
+    head, s = ((), 0) if first is None else ((first,), first - lo)
     unused = tuple(v for v in range(lo, hi + 1) if v != first)
-    # The first value leaves first - lo unused values below it.
-    s = 0 if first is None else first - lo
-    return _walk(head, s, unused, min(_TAIL, len(unused)), None if max_last else hi)
-
-
-def _checked(tuples: Iterator[tuple[int, ...]], lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Pass the tuples through, each checked to hold exactly the values lo..hi."""
-    values = list(range(lo, hi + 1))
-    for t in tuples:
-        if sorted(t) != values:
-            raise InternalConstraintViolation(f"generated {t} does not hold exactly {lo}..{hi}")
-        yield t
+    return _walk(head, s, unused, min(_TAIL, len(unused)), None if max_last else hi, [*range(lo, hi + 1)])
 
 
 def _avoider_tuples(n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     check_size("avoider generation", "n", n, cap=cap)
-    return _checked(_avoiders(1, n), 1, n)
+    return _avoiders(1, n)
 
 
 def _sigma1_tuples(b: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     if b < 2:
         raise InvalidRange(f"the middle value b must be at least 2, got {b}")
     check_size("left-factor generation", "b", b, cap=cap)
-    return _checked(_avoiders(1, b, max_last=False), 1, b)
+    return _avoiders(1, b, max_last=False)
 
 
 def _sigma2_tuples(b: int, n: int, cap: int | None) -> Iterator[tuple[int, ...]]:
     if not 2 <= b <= n - 1:
         raise InvalidRange(f"need 2 <= b <= n-1, got b={b}, n={n}")
     check_size("right-factor generation", "n - b + 1", n - b + 1, cap=cap)
-    return _checked(_right_factors(b, n), b, n)
-
-
-def _right_factors(b: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The right factors over b..n, unchecked, lexicographically."""
     # Only the first values b+1..n are walked: no factor starts with b.
     return chain.from_iterable(_avoiders(b, n, f) for f in range(b + 1, n + 1))
 

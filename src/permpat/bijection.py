@@ -17,10 +17,12 @@ decompose() finds (c, b, a) with find_unique_321, whose one bit-set
 pass gives both the 321 count and the position of b. compose() and the
 enumeration run the one splice, _splice(b, n, lefts, rights): compose()
 on its one pair, the enumeration on every pair of block b, b by b, in
-one process. The splice cuts each factor once at b, into (p1, p2, a) and
-(c, p3, p4), and checks no factor; every item is a plain tuple, checked
-on its own by the same pass to hold exactly 1..n with a middle-position
-321 sum of exactly 1. That check covers the factors too. The item's
+one process. The factors come from the sigma1 and sigma2 walks of
+`avoiders`, which check their own values leaf by leaf. The splice cuts
+each factor once at b, into (p1, p2, a) and (c, p3, p4), and checks no
+factor; every item is a plain tuple, checked on its own by the same pass
+to hold exactly 1..n with a middle-position 321 sum of exactly 1. That
+check covers every rule of the factors too. The item's
 values p1 c p2 a stand in sigma1's order, since c takes b's place and is
 above all of sigma1; its values c p3 a p4 stand in sigma2's order, since
 a takes b's place and is below all of sigma2. Neither set holds the
@@ -251,9 +253,9 @@ def _cut_right(s2: tuple[int, ...], b: int) -> tuple[int, tuple[int, ...], tuple
 
 def _noonan_for_b(b: int, n: int) -> Iterator[tuple[int, ...]]:
     """Block b of the one-321 stream: every left factor over 1..b spliced with every right one."""
-    from .avoiders import _avoiders, _right_factors
+    from .avoiders import _sigma1_tuples, _sigma2_tuples
 
-    return _splice(b, n, _avoiders(1, b, max_last=False), _right_factors(b, n))
+    return _splice(b, n, _sigma1_tuples(b, None), _sigma2_tuples(b, n, None))
 
 
 def _index(factor: tuple[int, ...], b: int) -> int:

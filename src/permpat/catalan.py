@@ -34,8 +34,8 @@ from itertools import accumulate
 
 from .errors import NonIntegerResult, check_size
 
-# The largest n the Catalan table is built to; C_0..C_5000 take about 4 s
-# cold on a 2-core Xeon VM, and the cost grows about as N^3.
+# The largest n the Catalan table is built to: C_0..C_N take about N^2/2
+# additions of integers up to 2N bits long, so the cost grows about as N^3.
 TABLE_CAP = 5000
 
 

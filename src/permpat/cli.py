@@ -42,18 +42,17 @@ _BATCH = 1000
 # raised the peak RSS of `seq --what catalan --max-n 1000` by 0.5 MB;
 # 100 keep it where line-by-line printing had it.
 _TABLE_BATCH = 100
+# The caps below bound what grows; README's table of bounds gives the time
+# each one takes at its cap.
 # `count` refuses the generic counter past this many subsequences of the
-# pattern's length, binom(n, |pattern|): at the cap it takes about 10 s when
-# every one is an occurrence (the identity against 1 2 3), 3-4 s on random
-# inputs, on a 2-core Xeon VM.
+# pattern's length, binom(n, |pattern|): it takes up to one step per
+# subsequence, when every one is an occurrence (the identity against 1 2 3).
 _COUNT_WORK_CAP = 10**8
-# `verify` refuses larger N: at N = 2000 it takes 2-3 s on a 2-core Xeon VM
-# with Python 3.11.7 (1.8-3.3 s over fresh processes), most of it in the
-# per-n convolutions, whose cost grows about as N^3.
+# `verify` refuses larger N: most of its time goes to the per-n
+# convolutions, whose cost grows about as N^3.
 _VERIFY_CAP = 2000
-# `noonan --n` (the closed form) refuses larger n unless --cap lifts it: at
-# the cap math.comb(2n, n+3) takes about 0.6 s on a 2-core Xeon VM with
-# Python 3.11.7, at twice the cap 2 s, and at 10^6 about 50 s.
+# `noonan --n` (the closed form) refuses larger n unless --cap lifts it:
+# the cost of math.comb(2n, n+3) grows about as n^2 from 10^5 to 10^6.
 _CLOSED_CAP = 100_000
 
 
@@ -131,11 +130,15 @@ def _cap(args: SimpleNamespace, default: int) -> int:
 
 
 def _cmd_noonan(args: SimpleNamespace) -> int:
+    # The table methods are bounded by the Catalan table's own cap, which
+    # --cap does not lift; a --cap they would ignore is refused.
+    if args.cap is not None and args.method in ("catalan", "convolution"):
+        raise UsageError(f"--cap is not read by --method {args.method}")
     # Checked once for every method: the formulas would refuse n = 0 on their
     # own, but the oracle and the bijection count would print 0.
     check_size("noonan", "--n", args.n, 1)
     if args.method == "closed":
-        why = "binom(2n, n+3) takes about 0.6 s at n = 10^5 and 50 s at 10^6; --cap lifts the cap"
+        why = "the cost of binom(2n, n+3) grows about as n^2; --cap lifts the cap"
         check_size("the closed form", "--n", args.n, cap=_cap(args, _CLOSED_CAP), why=why)
         value = noonan_closed(args.n)
     elif args.method == "catalan":
@@ -154,7 +157,7 @@ def _cmd_noonan(args: SimpleNamespace) -> int:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
-    why = f"its per-n convolutions grow about as N^3 (2-3 s at N = {_VERIFY_CAP})"
+    why = "its per-n convolutions grow about as N^3"
     check_size("verify", "--max-n", args.max_n, cap=_VERIFY_CAP, why=why)
     failures = 0
     lines = []
@@ -247,7 +250,12 @@ _WORK_FLAGS = {
         "processes for the bijection count (noonan --method bijection); "
         "every other command runs in one process; the output never depends on it",
     ),
-    "--cap": (int, None, "set the size cap, also of the closed form; the oracle then has no state budget"),
+    "--cap": (
+        int,
+        None,
+        "set the size cap, also of the closed form; the oracle then has no state budget; "
+        "noonan --method catalan|convolution refuse it",
+    ),
     "--progress": (None, False, "write progress to stderr"),
 }
 _COMMANDS = {

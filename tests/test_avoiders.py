@@ -2,7 +2,9 @@ import itertools
 import os
 import subprocess
 import sys
+import types
 from math import comb
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,15 @@ from hypothesis import strategies as st
 from permpat import avoiders
 from permpat.avoiders import (
     _avoiders,
-    _checked,
+    _completions,
     _tails,
     enumerate_avoiders,
     enumerate_sigma1,
     enumerate_sigma2,
 )
+from permpat.bijection import _noonan_tuples
 from permpat.catalan import catalan
+from permpat.cli import run
 from permpat.errors import CapExceeded, InternalConstraintViolation, InvalidRange
 from permpat.perms import Permutation, ValueSequence, count_occurrences, is_avoiding_321
 
@@ -59,39 +63,107 @@ def test_is_avoiding_matches_naive_count_on_shifted_values(values, shift):
     assert is_avoiding_321(shifted) == (count_occurrences(shifted, (3, 2, 1)) == 0)
 
 
-# --- per-item value check -----------------------------------------------
+# --- the walk's own check -------------------------------------------------
 
 
-@pytest.mark.parametrize("t", [(2, 2, 4), (2, 3, 5), (1, 2, 3), (2, 3)])
-def test_tuple_check_rejects_a_wrong_value_set(t):
-    # A duplicate, a value above and one below the range 2..4, a short tuple.
-    stream = _checked(iter([(4, 2, 3), t]), 2, 4)
-    assert next(stream) == (4, 2, 3)
+@pytest.mark.parametrize(
+    "unused", [(2, 2), (2, 5), (1, 2), (2,), (2, 3, 3)], ids=["duplicate", "above", "below", "short", "long"]
+)
+def test_completions_reject_a_wrong_value_set(unused):
+    # Completing the prefix (4,) must give exactly 2..4. The first completion
+    # is checked; the second getter stands for the rest of a table entry.
+    getters = (tuple, itemgetter(1, 0))
+    assert _completions((4,), getters, (2, 3), [2, 3, 4]) == [(4, 2, 3), (4, 3, 2)]
     with pytest.raises(InternalConstraintViolation):
-        next(stream)
+        _completions((4,), getters, unused, [2, 3, 4])
 
 
-def test_every_family_item_goes_through_the_check(monkeypatch):
-    checked = []
-    real = avoiders._checked
+@pytest.mark.parametrize("get", [itemgetter(0, 3), itemgetter(0, -4), itemgetter(1)])
+def test_completions_reject_a_getter_that_reads_past_or_returns_no_tuple(get):
+    with pytest.raises(InternalConstraintViolation):
+        _completions((), (get,), (0, 1, 2), [0, 1, 2])
 
-    def spy(tuples, lo, hi):
-        for t in real(tuples, lo, hi):
-            checked.append((t, lo, hi))
-            yield t
 
-    monkeypatch.setattr(avoiders, "_checked", spy)
-    for stream, lo, hi in [
-        (enumerate_avoiders(6), 1, 6),
-        (enumerate_sigma1(6), 1, 6),
-        (enumerate_sigma2(3, 7), 3, 7),
-    ]:
-        checked.clear()
-        assert [(p.values, lo, hi) for p in stream] == checked
+# Each mutant replaces one piece of the avoiders module's source, in a copy
+# of the module, with a fault: a duplicate value, a value above the range or
+# below it, a short tuple or a long one. A fault sits in a walk step, a table
+# getter, a leaf reading a table of the wrong size, or the values a family
+# walks over.
+_STEP = "prefix + (unused[r],)"
+_GETTER = "_getter = cache(itemgetter)"
+_LEAF = "yield from _completions(prefix, _tails(k, s, top not in unused), unused, values)"
+_RANGE = "unused = tuple(v for v in range(lo, hi + 1) if v != first)"
+MUTANTS = {
+    "step-duplicate": (_STEP, "prefix + (unused[0],)"),
+    "step-above": (_STEP, "prefix + (unused[r] + 99,)"),
+    "step-below": (_STEP, "prefix + (unused[r] - 99,)"),
+    "step-short": (_STEP, "prefix"),
+    "step-long": (_STEP, "prefix + (unused[r], r)"),
+    "step-drops-two": ("unused[:r] + unused[r + 1 :]", "unused[:r] + unused[r + 2 :]"),
+    "getter-duplicate": (_GETTER, "_getter = cache(lambda *p: itemgetter(*p[:-1], p[0]))"),
+    "getter-above": (_GETTER, "_getter = cache(lambda *p: itemgetter(*p[:-1], len(p)))"),
+    "getter-below": (_GETTER, "_getter = cache(lambda *p: itemgetter(*p[:-1], -1 - len(p)))"),
+    "getter-short": (_GETTER, "_getter = cache(lambda *p: itemgetter(*p[:-1]))"),
+    "getter-long": (_GETTER, "_getter = cache(lambda *p: itemgetter(*p, p[0]))"),
+    # Only patterns that start above rank 0 are long, so the first completion
+    # of every entry, which starts with rank 0, is right: only the table's
+    # own check of each getter sees the fault.
+    "getter-long-after-the-first": (
+        _GETTER,
+        "_getter = cache(lambda *p: itemgetter(*p, p[0]) if p[0] else itemgetter(*p))",
+    ),
+    "leaf-table-too-small": (_LEAF, _LEAF.replace("_tails(k,", "_tails(k - 1,")),
+    # The leaf comes a step late and reads the size-k entry with k - 1 values.
+    "leaf-table-too-large": ("if len(unused) <= k:", "if len(unused) < k:"),
+    "range-duplicate": (_RANGE, _RANGE.replace("range(lo, hi + 1)", "(lo, *range(lo, hi))")),
+    "range-above": (_RANGE, _RANGE.replace("range(lo, hi + 1)", "range(lo + 1, hi + 2)")),
+    "range-below": (_RANGE, _RANGE.replace("range(lo, hi + 1)", "range(lo - 1, hi)")),
+    "range-short": (_RANGE, _RANGE.replace("range(lo, hi + 1)", "range(lo, hi)")),
+    "range-long": (_RANGE, _RANGE.replace("range(lo, hi + 1)", "range(lo, hi + 2)")),
+}
+
+# Sizes at which every walk takes steps above its table-read leaves: the
+# one-321 stream at n = 9 walks the left factors of 1..8.
+FAMILY_STREAMS = {
+    "avoiders": (lambda m: m._avoider_tuples(9, None), ["--n", "9"]),
+    "sigma1": (lambda m: m._sigma1_tuples(9, None), ["--b", "9"]),
+    "sigma2": (lambda m: m._sigma2_tuples(2, 10, None), ["--b", "2", "--n", "10"]),
+    "noonan": (lambda m: _noonan_tuples(9, None), ["--n", "9"]),
+}
+
+
+def _mutant(old, new):
+    source = Path(avoiders.__file__).read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType("permpat.avoiders")
+    module.__package__ = "permpat"
+    exec(compile(source.replace(old, new), avoiders.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_every_injected_fault_raises_before_a_wrong_tuple(monkeypatch, capsys, name):
+    # Every family, in-process and through CLI `enumerate`, must raise
+    # InternalConstraintViolation, and whatever it yielded or printed first
+    # must be the start of the true stream.
+    real = {family: list(stream(avoiders)) for family, (stream, _) in FAMILY_STREAMS.items()}
+    mutant = _mutant(*MUTANTS[name])
+    # The CLI and the one-321 stream import the module at call time.
+    monkeypatch.setitem(sys.modules, "permpat.avoiders", mutant)
+    for family, (stream, flags) in FAMILY_STREAMS.items():
+        yielded = []
+        with pytest.raises(InternalConstraintViolation):
+            yielded.extend(stream(mutant))
+        assert yielded == real[family][: len(yielded)], family
+        assert run(["enumerate", "--family", family, *flags]) == 1, family
+        out, err = capsys.readouterr()
+        assert err.startswith("InternalConstraintViolation: ") and err.count("\n") == 1, family
+        lines = out.splitlines()
+        assert lines == [" ".join(map(str, t)) for t in real[family][: len(lines)]], family
 
 
 def test_family_items_are_wrapped_without_a_second_validation(monkeypatch):
-    # _checked has verified every tuple, so the wrappers skip __init__.
+    # The walk has checked every tuple, so the wrappers skip __init__.
     def refuse(self, values):
         raise AssertionError(f"{values} validated a second time")
 

@@ -229,6 +229,14 @@ def test_cap_lifts_the_closed_form_cap(invoke, monkeypatch):
     assert invoke("noonan", "--n", "5") == (0, "27\n", "")
 
 
+@pytest.mark.parametrize("method", ["catalan", "convolution"])
+def test_table_methods_refuse_a_cap_they_would_ignore(invoke, method):
+    # Their bound is the Catalan table's cap, which --cap does not lift.
+    assert invoke("noonan", "--n", "3", "--method", method) == (0, "1\n", "")
+    refused = invoke("noonan", "--n", "3", "--method", method, "--cap", "1")
+    assert refused == (2, "", f"usage error: --cap is not read by --method {method}\n")
+
+
 def test_noonan_default_method(invoke):
     assert invoke("noonan", "--n", "4") == (0, "6\n", "")
     assert invoke("noonan", "--n", "1") == (0, "0\n", "")
@@ -669,3 +677,28 @@ def test_table_parse_leaves_everything_else_to_argparse(argv):
 def test_oracle_n_5_with_cap_11_prints_27(invoke):
     code, out, err = invoke("oracle", "--n", "5", "--cap", "11")
     assert (code, out, err) == (0, "27\n", "")
+
+
+# --- a reader that closes the pipe ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "avoiders", "--n", "12"),
+        ("seq", "--what", "catalan", "--max-n", "2000"),
+        ("verify", "--max-n", "500"),
+    ],
+)
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(argv):
+    # After the first line the reader closes its end, as `| head -n 1` does.
+    # The command must exit 0 and write nothing to stderr, also in development
+    # mode. It runs in a child: on a broken pipe, cli.run puts /dev/null on fd 1.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cmd = [sys.executable, "-X", "dev", "-m", "permpat.cli", *argv]
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert first.endswith(b"\n")
+    assert (child.returncode, err) == (0, b"")
